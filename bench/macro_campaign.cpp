@@ -30,8 +30,8 @@
  * lane, each priming a pool and then absorbing a routing storm —
  * 10M+ requests total by default (`--hosts` / `--requests` resize it,
  * `--prime-rounds` deepens the priming phase). stdout and every total
- * are byte-identical for any `--shards` / `--threads` grouping; CI
- * byte-diffs shards {1,8} x threads {1,8} and gates the grouped wall
+ * are byte-identical for any `--threads` count (the lane grouping);
+ * CI byte-diffs --threads 1 against 8 and gates the grouped wall
  * clock against the single-group record (bench names
  * `macro_campaign_sharded` vs `macro_campaign_sharded_s1`).
  *
@@ -245,7 +245,6 @@ laneScript(std::vector<eaao::faas::ShardOp> &ops,
 struct ShardedArgs
 {
     unsigned threads = 1;
-    std::uint32_t shards = 1;
     std::uint32_t hosts = kShardedHosts;
     std::uint64_t requests = kShardedRequests;
     std::uint32_t prime_rounds = kShardedPrimeRounds;
@@ -264,7 +263,6 @@ shardedConfig(const ShardedArgs &a)
     cfg.profile = faas::DataCenterProfile::usEast1();
     cfg.profile.host_count = a.hosts;
     cfg.seed = 4242;
-    cfg.shards = a.shards;
     cfg.threads = a.threads;
     return cfg;
 }
@@ -655,10 +653,7 @@ shardedMain(int argc, char **argv)
     ShardedArgs a;
     a.threads = support::threadsFromArgs(argc, argv);
     for (int i = 1; i < argc - 1; ++i) {
-        if (std::strcmp(argv[i], "--shards") == 0)
-            a.shards = static_cast<std::uint32_t>(
-                std::strtoul(argv[i + 1], nullptr, 10));
-        else if (std::strcmp(argv[i], "--hosts") == 0)
+        if (std::strcmp(argv[i], "--hosts") == 0)
             a.hosts = static_cast<std::uint32_t>(
                 std::strtoul(argv[i + 1], nullptr, 10));
         else if (std::strcmp(argv[i], "--requests") == 0)
@@ -677,8 +672,6 @@ shardedMain(int argc, char **argv)
         else if (std::strcmp(argv[i], "--from-checkpoint") == 0)
             a.from_checkpoint = argv[i + 1];
     }
-    if (a.shards == 0)
-        a.shards = 1;
     if (a.prime_rounds == 0)
         a.prime_rounds = 1;
 
@@ -693,12 +686,12 @@ shardedMain(int argc, char **argv)
 
     // stdout depends only on (hosts, requests, prime-rounds): the
     // sharded platform's totals are grouping-invariant, so any
-    // --shards/--threads pair byte-matches — the property CI's
-    // determinism matrix diffs.
+    // --threads count byte-matches — the property CI's determinism
+    // matrix diffs.
     printShardedHeader(a);
 
-    support::BenchTimer timer(a.shards > 1 ? "macro_campaign_sharded"
-                                           : "macro_campaign_sharded_s1",
+    support::BenchTimer timer(a.threads > 1 ? "macro_campaign_sharded"
+                                            : "macro_campaign_sharded_s1",
                               a.threads, /*seed=*/4242);
     const faas::ShardedTotals t = runStraight(a);
     support::maybeWriteBenchJson(argc, argv, timer.stop());

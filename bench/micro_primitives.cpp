@@ -1011,7 +1011,6 @@ snapshotConfig()
     faas::ShardedConfig cfg;
     cfg.profile.host_count = 1100; // 10 lanes
     cfg.seed = 4242;
-    cfg.shards = 10;
     cfg.threads = 1;
     return cfg;
 }

@@ -1,18 +1,21 @@
 /**
  * @file
  * The one generic campaign driver: executes any
- * `eaao-scenario v2` campaign file (bench/campaigns/*.scenario) or a
- * bare v1 replay, replacing the per-figure bench binaries.
+ * `eaao-scenario v2` campaign file (the .scenario files in
+ * bench/campaigns/) or a bare v1 replay, replacing the per-figure
+ * bench binaries.
  *
  *   run_campaign FILE [--threads N] [--bench-json F] [--trace-json F]
  *                     [--metrics-json F]
  *   run_campaign --list [DIR]       # summarize a campaign directory
  *   run_campaign --describe FILE    # pretty-print resolved sections
  *
- * A malformed file prints one line-precise diagnostic to stderr and
- * exits 2 (docs/scenario-dsl.md documents the message catalog);
- * stdout of a ported campaign is byte-identical to its legacy binary
- * (CI's campaign-parity job diffs against bench/campaigns/expected/).
+ * An unknown flag, in `--flag value` or `--flag=value` form, exits 2
+ * before anything runs. A malformed file prints one line-precise
+ * diagnostic to stderr and exits 2 (docs/scenario-dsl.md documents
+ * the message catalog); stdout of a ported campaign is
+ * byte-identical to its legacy binary (CI's campaign-parity job diffs
+ * against bench/campaigns/expected/).
  */
 
 #include <algorithm>
@@ -38,12 +41,19 @@ usage(std::FILE *to)
 {
     std::fprintf(
         to,
-        "usage: run_campaign FILE [--threads N] [--shards N]\n"
-        "                         [--bench-json F] [--trace-json F]\n"
-        "                         [--metrics-json F]\n"
+        "usage: run_campaign FILE [--threads N] [--bench-json F]\n"
+        "                         [--trace-json F] [--metrics-json F]\n"
         "       run_campaign --list [DIR]\n"
         "       run_campaign --describe FILE\n");
     return to == stdout ? 0 : 2;
+}
+
+/** The flags whose value the support:: helpers read from argv. */
+bool
+isValueFlag(const std::string &flag)
+{
+    return flag == "--threads" || flag == "--bench-json" ||
+           flag == "--trace-json" || flag == "--metrics-json";
 }
 
 std::string
@@ -160,12 +170,9 @@ main(int argc, char **argv)
             list = true;
         } else if (arg == "--describe") {
             describe = true;
-        } else if (arg == "--threads" || arg == "--shards" ||
-                   arg == "--bench-json" || arg == "--trace-json" ||
-                   arg == "--metrics-json") {
+        } else if (isValueFlag(arg)) {
             ++i; // value consumed by the support:: helpers
-        } else if (arg.rfind("--", 0) == 0 &&
-                   arg.find('=') != std::string::npos) {
+        } else if (isValueFlag(arg.substr(0, arg.find('=')))) {
             // --threads=N style; also handled by the support helpers
         } else if (arg.rfind("--", 0) == 0) {
             std::fprintf(stderr, "run_campaign: unknown flag %s\n",

@@ -142,15 +142,6 @@ mk(ExprOp op)
     return e;
 }
 
-std::unique_ptr<Expr>
-mkBinary(ExprOp op, std::unique_ptr<Expr> lhs, std::unique_ptr<Expr> rhs)
-{
-    auto e = mk(op);
-    e->kids.push_back(std::move(lhs));
-    e->kids.push_back(std::move(rhs));
-    return e;
-}
-
 struct FuncSig
 {
     const char *name;
@@ -191,6 +182,41 @@ class Parser
     }
 
   private:
+    [[noreturn]] void tooDeep(std::size_t pos) const
+    {
+        lex_.fail("expression nested deeper than " +
+                      std::to_string(kMaxExprDepth) + " levels",
+                  pos);
+    }
+
+    /** Open one level of recursion ('(', a prefix operator or a call);
+     *  the caller closes it with --depth_. A throw abandons the parse,
+     *  so nothing needs unwinding. */
+    void enter(std::size_t pos)
+    {
+        if (++depth_ > kMaxExprDepth)
+            tooDeep(pos);
+    }
+
+    /** Append @p kid to @p parent, refusing a tree taller than the cap
+     *  (a long operator chain nests without recursing). */
+    void adopt(Expr &parent, std::unique_ptr<Expr> kid)
+    {
+        parent.height = std::max(parent.height, kid->height + 1);
+        if (parent.height > kMaxExprDepth)
+            tooDeep(lex_.peek().pos);
+        parent.kids.push_back(std::move(kid));
+    }
+
+    std::unique_ptr<Expr> mkBinary(ExprOp op, std::unique_ptr<Expr> lhs,
+                                   std::unique_ptr<Expr> rhs)
+    {
+        auto e = mk(op);
+        adopt(*e, std::move(lhs));
+        adopt(*e, std::move(rhs));
+        return e;
+    }
+
     bool isOp(const char *text) const
     {
         return lex_.peek().kind == TokKind::Op && lex_.peek().text == text;
@@ -251,19 +277,14 @@ class Parser
 
     std::unique_ptr<Expr> parseUnary()
     {
-        if (isOp("!")) {
-            lex_.take();
-            auto e = mk(ExprOp::Not);
-            e->kids.push_back(parseUnary());
-            return e;
-        }
-        if (isOp("-")) {
-            lex_.take();
-            auto e = mk(ExprOp::Neg);
-            e->kids.push_back(parseUnary());
-            return e;
-        }
-        return parseAtom();
+        if (!isOp("!") && !isOp("-"))
+            return parseAtom();
+        const Tok tok = lex_.take();
+        enter(tok.pos);
+        auto e = mk(tok.text == "!" ? ExprOp::Not : ExprOp::Neg);
+        adopt(*e, parseUnary());
+        --depth_;
+        return e;
     }
 
     std::unique_ptr<Expr> parseAtom()
@@ -290,8 +311,10 @@ class Parser
             }
         case TokKind::Punct:
             if (tok.text == "(") {
+                enter(tok.pos);
                 auto e = parseOr();
                 expectPunct(')');
+                --depth_;
                 return e;
             }
             break;
@@ -318,16 +341,18 @@ class Parser
                       name.pos);
         }
         expectPunct('(');
+        enter(name.pos);
         auto e = mk(ExprOp::Call);
         e->text = name.text;
         if (!isPunct(')')) {
-            e->kids.push_back(parseOr());
+            adopt(*e, parseOr());
             while (isPunct(',')) {
                 lex_.take();
-                e->kids.push_back(parseOr());
+                adopt(*e, parseOr());
             }
         }
         expectPunct(')');
+        --depth_;
         const int argc = static_cast<int>(e->kids.size());
         if (argc < sig->min_args || argc > sig->max_args) {
             lex_.fail(name.text + "() takes " +
@@ -365,6 +390,7 @@ class Parser
     }
 
     Lexer &lex_;
+    std::uint32_t depth_ = 0; //!< open enter() levels
 };
 
 double
@@ -474,7 +500,16 @@ renderExpr(const Expr &e)
 {
     const auto kid = [&](std::size_t i) { return renderExpr(*e.kids[i]); };
     const auto binary = [&](const char *op) {
-        return "(" + kid(0) + " " + op + " " + kid(1) + ")";
+        // Built in place: `"(" + kid(0) + ...` trips a false
+        // -Wrestrict in GCC 12's inlined string insert.
+        std::string out = "(";
+        out += kid(0);
+        out += ' ';
+        out += op;
+        out += ' ';
+        out += kid(1);
+        out += ')';
+        return out;
     };
     switch (e.op) {
     case ExprOp::Num:

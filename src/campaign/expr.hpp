@@ -16,6 +16,7 @@
 #ifndef EAAO_CAMPAIGN_EXPR_HPP
 #define EAAO_CAMPAIGN_EXPR_HPP
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -45,12 +46,21 @@ enum class ExprOp : std::uint8_t
     Call,  //!< function call; name in `text`, args in `kids`
 };
 
+/**
+ * Deepest nesting parseExpr() accepts, counted both as parentheses,
+ * prefix operators and call arguments open at once and as levels of
+ * the resulting tree, so parsing, evaluation, rendering and teardown
+ * all recurse a bounded number of times.
+ */
+inline constexpr std::uint32_t kMaxExprDepth = 256;
+
 struct Expr
 {
     ExprOp op = ExprOp::Num;
     double number = 0.0;
     std::string text;  //!< counter name, string literal, or call name
     std::vector<std::unique_ptr<Expr>> kids;
+    std::uint32_t height = 1; //!< levels in this subtree
 };
 
 /**

@@ -11,8 +11,8 @@
  * compiles everything into ShardOps, drives the window loop itself,
  * and samples the fleet-wide SLO counters (slo.admitted, slo.p99_s,
  * ...) at every barrier so [triggers] conditions can watch admission
- * backpressure develop. stdout is byte-identical across every
- * (--shards, --threads) grouping — CI diffs it like any other
+ * backpressure develop. stdout is byte-identical for every
+ * --threads count (the lane grouping) — CI diffs it like any other
  * determinism gate.
  */
 
@@ -22,7 +22,6 @@
 #include "faas/sharded.hpp"
 #include "obs/metrics.hpp"
 #include "support/bench_timer.hpp"
-#include "support/options.hpp"
 
 #include <algorithm>
 #include <cstdio>
@@ -128,8 +127,6 @@ EAAO_CAMPAIGN_PROGRAM(loadgen)
     cfg.orchestrator.admission_depth = spec.u32("workload", "depth", 64);
     cfg.orchestrator.shed_policy =
         shedByName(spec, spec.str("workload", "shed", "queue"));
-    cfg.shards = support::shardsFromArgs(ctx.argc, ctx.argv,
-                                         spec.u32("workload", "shards", 1));
     cfg.threads = ctx.threads;
 
     faas::ShardedPlatform platform(cfg);

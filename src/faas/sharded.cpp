@@ -53,8 +53,8 @@ ShardedPlatform::ShardedPlatform(const ShardedConfig &cfg,
                                      cfg_.epoch, fleet_rng);
     committed_.assign(fleet_->size());
 
-    const std::uint32_t lanes = std::min<std::uint32_t>(
-        std::max(1u, cfg_.max_lanes), fleet_->shardCount());
+    const std::uint32_t lanes =
+        std::min<std::uint32_t>(kMaxLanes, fleet_->shardCount());
     if (obs_set != nullptr)
         obs_set->prepare(lanes);
     lanes_.reserve(lanes);
@@ -145,7 +145,7 @@ ShardedPlatform::laneOrchestrator(std::uint32_t lane) const
 std::uint32_t
 ShardedPlatform::groupCount() const
 {
-    return std::min<std::uint32_t>(std::max(1u, cfg_.shards), laneCount());
+    return std::min<std::uint32_t>(std::max(1u, cfg_.threads), laneCount());
 }
 
 std::uint32_t
@@ -240,10 +240,8 @@ void
 ShardedPlatform::ensurePool()
 {
     const std::uint32_t groups = groupCount();
-    if (cfg_.threads > 1 && groups > 1 && pool_ == nullptr) {
-        pool_ = std::make_unique<exp::ThreadPool>(
-            std::min<unsigned>(cfg_.threads, groups));
-    }
+    if (groups > 1 && pool_ == nullptr)
+        pool_ = std::make_unique<exp::ThreadPool>(groups);
 }
 
 void

@@ -4,7 +4,7 @@
  *
  * One trial is partitioned into *lanes* at datacenter-shard
  * granularity: lane count is a fixed platform property
- * (min(max_lanes, fleet shard count)), every account lives on the
+ * (min(kMaxLanes, fleet shard count)), every account lives on the
  * lane of its home shard (home-shard % lanes), and each lane owns a
  * private event queue, orchestrator, placement trace and log buffers.
  * The only coupling between lanes is host capacity, which is
@@ -17,12 +17,12 @@
  *     shared committed table in canonical lane order, and a fold
  *     digest line is appended to the exchange log.
  *
- * The `shards` and `threads` knobs only choose how the *fixed* lanes
- * are grouped onto pool workers (contiguous lane ranges, serial
- * within a group, groups in parallel); no decision anywhere depends
- * on the grouping, so the canonical log — and any metrics or traces
- * recorded per lane — is byte-identical for every (shards, threads)
- * combination. testkit's shard-equality oracle enforces exactly this.
+ * The `threads` knob only chooses how the *fixed* lanes are grouped:
+ * min(threads, lanes) contiguous lane ranges, serial within a group,
+ * groups in parallel on a pool of that size. No decision anywhere
+ * depends on the grouping, so the canonical log — and any metrics or
+ * traces recorded per lane — is byte-identical for every thread
+ * count. testkit's shard-equality oracle enforces exactly this.
  *
  * See docs/sharding.md for the protocol, the SoA capacity ledger, and
  * the planted fault modes (OrchestratorConfig::fault_injection 3/4).
@@ -111,6 +111,9 @@ struct ShardOp
 /** The ArrivalSpec an OpenLoop op describes (shared with restore). */
 ArrivalSpec openLoopSpec(const ShardOp &op);
 
+/** Lane cap; lanes = min(kMaxLanes, fleet shard count). */
+inline constexpr std::uint32_t kMaxLanes = 16;
+
 /** Configuration of a sharded trial. */
 struct ShardedConfig
 {
@@ -125,14 +128,8 @@ struct ShardedConfig
     /** Window barrier period (a demand/reap-window divisor). */
     sim::Duration window = sim::Duration::seconds(30);
 
-    /** Lane cap; lanes = min(max_lanes, fleet shard count). */
-    std::uint32_t max_lanes = 16;
-
-    /** Worker groups the fixed lanes are folded onto (the knob under
-     *  test: output must not depend on it). */
-    std::uint32_t shards = 1;
-
-    /** Pool threads driving the groups (also output-invariant). */
+    /** Lane groups, one per pool thread: min(threads, lanes) (the knob
+     *  under test: output must not depend on it). */
     unsigned threads = 1;
 };
 
@@ -166,7 +163,7 @@ class ShardedPlatform
     ShardedPlatform(const ShardedPlatform &) = delete;
     ShardedPlatform &operator=(const ShardedPlatform &) = delete;
 
-    /** Fixed lane count (independent of shards/threads). */
+    /** Fixed lane count (independent of threads). */
     std::uint32_t laneCount() const
     {
         return static_cast<std::uint32_t>(lanes_.size());
@@ -242,7 +239,7 @@ class ShardedPlatform
     /**
      * Canonical text log: per-lane traces, routed/restart/spend lines,
      * final spends and event counters in lane order, then the window
-     * exchange digest. Byte-identical across (shards, threads) — the
+     * exchange digest. Byte-identical across thread counts — the
      * unit the shard-equality oracle compares.
      */
     std::string renderLog() const;

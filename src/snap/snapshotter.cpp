@@ -432,9 +432,11 @@ Snapshotter::configFingerprint(const faas::ShardedConfig &cfg)
     mixU(cfg.seed);
     mixU(static_cast<std::uint64_t>(cfg.epoch.ns()));
     mixU(static_cast<std::uint64_t>(cfg.window.ns()));
-    mixU(cfg.max_lanes);
-    // cfg.shards / cfg.threads deliberately excluded: lane grouping is
-    // output-invariant, so a snapshot restores at any grouping.
+    // The lane cap is a constant but stays hashed, which keeps image
+    // bytes stable. cfg.threads is deliberately excluded: lane
+    // grouping is output-invariant, so a snapshot restores at any
+    // grouping.
+    mixU(faas::kMaxLanes);
 
     const faas::DataCenterProfile &p = cfg.profile;
     mixS(p.name);

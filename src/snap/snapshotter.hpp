@@ -7,7 +7,7 @@
  * cursors, the shared committed capacity table, and (when attached)
  * the per-lane observability slots — into an eaao-snap v1 image
  * (snap/format.hpp). restore() loads such an image into a platform
- * built with the *same configuration* (shards/threads may differ: lane
+ * built with the *same configuration* (threads may differ: lane
  * grouping is output-invariant), after which resumeRun() continues the
  * run and produces a canonical log, merged metrics and Chrome trace
  * byte-identical to the uninterrupted run.
@@ -49,8 +49,8 @@ class Snapshotter
     /**
      * Load @p image into @p platform, which must have been constructed
      * with the same configuration the capture platform used (checked
-     * via an embedded config fingerprint; the shards/threads grouping
-     * knobs are excluded) and the same observability attachment.
+     * via an embedded config fingerprint; the threads grouping knob
+     * is excluded) and the same observability attachment.
      * On failure returns false with a one-line reason in @p error; the
      * platform contents are unspecified then (drivers treat a failed
      * restore as fatal).
@@ -80,8 +80,8 @@ class Snapshotter
     /**
      * Order-sensitive hash of every configuration field that shapes
      * the simulation (profile, orchestrator, tsc/timing noise,
-     * pricing, seed/epoch/window/max_lanes). The shards/threads
-     * grouping knobs are deliberately excluded: a snapshot captured at
+     * pricing, seed/epoch/window, the kMaxLanes cap). The threads
+     * grouping knob is deliberately excluded: a snapshot captured at
      * one grouping restores at any other.
      */
     static std::uint64_t configFingerprint(const faas::ShardedConfig &cfg);

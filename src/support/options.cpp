@@ -14,31 +14,6 @@
 
 namespace eaao::support {
 
-std::uint32_t
-shardsFromArgs(int argc, char **argv, std::uint32_t fallback)
-{
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        const char *value = nullptr;
-        if (std::strcmp(arg, "--shards") == 0) {
-            if (i + 1 >= argc)
-                EAAO_FATAL("--shards requires a value");
-            value = argv[i + 1];
-        } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-            value = arg + 9;
-        }
-        if (value != nullptr) {
-            char *end = nullptr;
-            const long n = std::strtol(value, &end, 10);
-            if (end == nullptr || *end != '\0' || n <= 0)
-                EAAO_FATAL("--shards must be a positive integer, got '",
-                           value, "'");
-            return static_cast<std::uint32_t>(n);
-        }
-    }
-    return fallback;
-}
-
 namespace {
 
 /** Parse a strictly positive integer; 0 on failure. */

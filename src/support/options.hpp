@@ -22,7 +22,6 @@
 #ifndef EAAO_SUPPORT_OPTIONS_HPP
 #define EAAO_SUPPORT_OPTIONS_HPP
 
-#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -41,14 +40,6 @@ unsigned defaultThreads();
  * error.
  */
 unsigned threadsFromArgs(int argc, char **argv);
-
-/**
- * Resolve a lane-grouping count from `--shards N` / `--shards=N` in
- * @p argv, falling back to @p fallback when the flag is absent. A
- * malformed or non-positive value is a fatal user error.
- */
-std::uint32_t shardsFromArgs(int argc, char **argv,
-                             std::uint32_t fallback);
 
 /**
  * Resolve the bench-timing JSON path from `--bench-json <path>` /

@@ -193,73 +193,70 @@ setTraceJson(const obs::TrialSet &set)
     return obs::toChromeTraceJson(sinks);
 }
 
+/** The three byte-compared renders of one sharded execution. */
+struct Renders
+{
+    std::string log;
+    std::string metrics; //!< merged metrics JSON
+    std::string trace;   //!< Chrome trace JSON
+};
+
+Renders
+rendersOf(std::string log, const obs::TrialSet &set)
+{
+    return {std::move(log), mergedSetMetrics(set), setTraceJson(set)};
+}
+
+/** "<what>: <first diff>" for the first render of @p got that differs
+ *  from @p want (log, then metrics, then trace); empty when equal. */
+std::string
+renderDiff(const Renders &want, const Renders &got)
+{
+    if (got.log != want.log)
+        return "log: " + firstDiff(want.log, got.log);
+    if (got.metrics != want.metrics)
+        return "merged metrics: " + firstDiff(want.metrics, got.metrics);
+    if (got.trace != want.trace)
+        return "chrome trace: " + firstDiff(want.trace, got.trace);
+    return {};
+}
+
+/** Lane count from a sharded log's `sharded lanes=N ...` header. */
+unsigned
+laneCountOf(const std::string &log)
+{
+    unsigned lanes = 0;
+    std::sscanf(log.c_str(), "sharded lanes=%u", &lanes);
+    return lanes;
+}
+
 /**
- * Shard-count byte-equality: one sharded execution per (shards,
- * threads) arm, all compared — log, merged metrics, Chrome trace —
- * against the (1, 1) baseline. Lane count is a fixed platform
- * property, so every arm runs the same lanes; only the grouping onto
- * workers differs, and nothing may depend on it.
+ * Lane-grouping byte-equality: one sharded execution per grouping —
+ * one group, two, and one group per lane — all compared (log, merged
+ * metrics, Chrome trace) against the one-group baseline. Lane count
+ * is a fixed platform property, so every arm runs the same lanes;
+ * only the grouping onto workers differs, and nothing may depend on
+ * it.
  */
 void
-checkShards(const Scenario &sc, const InvariantOptions &opts,
-            std::vector<Violation> &out)
+checkShards(const Scenario &sc, std::vector<Violation> &out)
 {
-    struct Arm
-    {
-        std::uint32_t shards;
-        unsigned threads;
-    };
-    const Arm arms[] = {
-        {1, 1},
-        {2, 1},
-        {opts.shard_arm, 1},
-        {2, opts.threads},
-        {opts.shard_arm, opts.threads},
-    };
-
-    const auto mergedMetrics = [](obs::TrialSet &set) {
-        return mergedSetMetrics(set);
-    };
-    const auto traceJson = [](const obs::TrialSet &set) {
-        return setTraceJson(set);
-    };
-
-    std::string base_log;
-    std::string base_metrics;
-    std::string base_trace;
-    for (std::size_t i = 0; i < std::size(arms); ++i) {
+    Renders base;
+    for (std::size_t i = 0; i < 3; ++i) {
         obs::TrialSet set(true);
         ShardedRunOptions ro;
-        ro.shards = arms[i].shards;
-        ro.threads = arms[i].threads;
+        ro.threads = i == 2 ? laneCountOf(base.log) : unsigned(i + 1);
         ro.obs = &set;
-        const std::string log = runScenarioSharded(sc, ro);
-        const std::string metrics = mergedMetrics(set);
-        const std::string trace = traceJson(set);
+        Renders got = rendersOf(runScenarioSharded(sc, ro), set);
         if (i == 0) {
-            base_log = log;
-            base_metrics = metrics;
-            base_trace = trace;
+            base = std::move(got);
             continue;
         }
-        const auto report = [&](const char *what, const std::string &a,
-                                const std::string &b) {
-            std::ostringstream detail;
-            detail << "shards=" << arms[i].shards
-                   << " threads=" << arms[i].threads << " " << what << ": "
-                   << firstDiff(a, b);
-            out.push_back({"shards", detail.str()});
-        };
-        if (log != base_log) {
-            report("log", base_log, log);
-            return;
-        }
-        if (metrics != base_metrics) {
-            report("merged metrics", base_metrics, metrics);
-            return;
-        }
-        if (trace != base_trace) {
-            report("chrome trace", base_trace, trace);
+        const std::string diff = renderDiff(base, got);
+        if (!diff.empty()) {
+            out.push_back(
+                {"shards", "threads=" + std::to_string(ro.threads) + " " +
+                               diff});
             return;
         }
     }
@@ -267,11 +264,11 @@ checkShards(const Scenario &sc, const InvariantOptions &opts,
 
 /**
  * Checkpoint/restore byte-equality: run the sharded scenario straight
- * through at (1, 1) for the baseline, then re-run it capturing a
+ * through on one thread for the baseline, then re-run it capturing a
  * snapshot at a window barrier (the first barrier, and a mid-run one
  * when the run is long enough) and finish each captured run from the
- * snapshot — once at the same (1, 1) grouping and once at (2, N),
- * since lane grouping is excluded from the snapshot's config
+ * snapshot — once on one thread and once on opts.threads, since
+ * lane grouping is excluded from the snapshot's config
  * fingerprint. Log, merged metrics JSON, and Chrome trace JSON must
  * all match the baseline byte-for-byte. Catches planted fault 5 (the
  * restore path drops one lane's vcpus delta column).
@@ -283,13 +280,11 @@ checkSnapshot(const Scenario &sc, const InvariantOptions &opts,
     obs::TrialSet base_set(true);
     ShardedRunOptions base_ro;
     base_ro.obs = &base_set;
-    const std::string base_log = runScenarioSharded(sc, base_ro);
-    const std::string base_metrics = mergedSetMetrics(base_set);
-    const std::string base_trace = setTraceJson(base_set);
+    const Renders base = rendersOf(runScenarioSharded(sc, base_ro), base_set);
 
     unsigned lanes = 0, windows = 0;
     long long window_ns = 0;
-    if (std::sscanf(base_log.c_str(),
+    if (std::sscanf(base.log.c_str(),
                     "sharded lanes=%u window_ns=%lld windows=%u", &lanes,
                     &window_ns, &windows) != 3) {
         out.push_back({"snapshot", "cannot parse window count from the "
@@ -309,10 +304,10 @@ checkSnapshot(const Scenario &sc, const InvariantOptions &opts,
         cap_ro.snapshot_at_window = at;
         cap_ro.snapshot_out = &image;
         const std::string cap_log = runScenarioSharded(sc, cap_ro);
-        if (cap_log != base_log) {
+        if (cap_log != base.log) {
             out.push_back({"snapshot",
                            "capture stepping perturbed the run: " +
-                               firstDiff(base_log, cap_log)});
+                               firstDiff(base.log, cap_log)});
             return;
         }
         if (image.empty()) {
@@ -323,46 +318,24 @@ checkSnapshot(const Scenario &sc, const InvariantOptions &opts,
             return;
         }
 
-        struct Arm
-        {
-            std::uint32_t shards;
-            unsigned threads;
-        };
-        const Arm arms[] = {{1, 1}, {2, opts.threads}};
-        for (const Arm &arm : arms) {
+        for (const unsigned threads : {1u, opts.threads}) {
             obs::TrialSet res_set(true);
             ShardedRunOptions res_ro;
-            res_ro.shards = arm.shards;
-            res_ro.threads = arm.threads;
+            res_ro.threads = threads;
             res_ro.obs = &res_set;
             std::string log, error;
-            const auto report = [&](const char *what,
-                                    const std::string &a,
-                                    const std::string &b) {
-                std::ostringstream detail;
-                detail << "window " << at << " restore (shards="
-                       << arm.shards << " threads=" << arm.threads << ") "
-                       << what << ": " << firstDiff(a, b);
-                out.push_back({"snapshot", detail.str()});
-            };
+            std::ostringstream detail;
+            detail << "window " << at;
             if (!resumeScenarioSharded(sc, res_ro, image, log, error)) {
-                std::ostringstream detail;
-                detail << "window " << at << " restore failed: " << error;
+                detail << " restore failed: " << error;
                 out.push_back({"snapshot", detail.str()});
                 return;
             }
-            if (log != base_log) {
-                report("log", base_log, log);
-                return;
-            }
-            const std::string metrics = mergedSetMetrics(res_set);
-            if (metrics != base_metrics) {
-                report("merged metrics", base_metrics, metrics);
-                return;
-            }
-            const std::string trace = setTraceJson(res_set);
-            if (trace != base_trace) {
-                report("chrome trace", base_trace, trace);
+            const std::string diff =
+                renderDiff(base, rendersOf(std::move(log), res_set));
+            if (!diff.empty()) {
+                detail << " restore (threads=" << threads << ") " << diff;
+                out.push_back({"snapshot", detail.str()});
                 return;
             }
         }
@@ -463,7 +436,7 @@ checkInvariants(const Scenario &scenario, const InvariantOptions &opts)
     if (opts.check_threads)
         checkThreads(scenario, opts, out);
     if (opts.check_shards)
-        checkShards(scenario, opts, out);
+        checkShards(scenario, out);
     if (opts.check_snapshot)
         checkSnapshot(scenario, opts, out);
     if (opts.check_timetravel && scenario.has_timetravel) {
@@ -480,7 +453,7 @@ primeTimeTravel(const Scenario &scenario,
                 const InvariantOptions & /*opts*/, TimeTravelPrime &out,
                 std::string &error)
 {
-    // The prime is the (1, 1) canonical universe: its barrier renders
+    // The prime is the one-group canonical universe: its barrier renders
     // are what every prefix arm must reproduce, whatever its grouping.
     obs::TrialSet set(true);
     ShardedRunOptions ro;
@@ -508,55 +481,30 @@ checkTimeTravelForks(const Scenario &scenario, const InvariantOptions &opts,
         primed = &local;
     }
 
-    struct Arm
-    {
-        std::uint32_t shards;
-        unsigned threads;
-    };
-
     // Prefix-consistency: restoring the image *without resuming* must
     // reproduce the capture platform's barrier log, merged metrics
-    // JSON, and Chrome trace JSON at every (shards, threads).
-    const Arm prefix_arms[] = {
-        {1, 1},
-        {2, 1},
-        {opts.shard_arm, opts.threads},
-    };
-    for (const Arm &arm : prefix_arms) {
+    // JSON, and Chrome trace JSON at one group, two, and one per lane.
+    const Renders barrier{primed->prime.prefix_log, primed->metrics,
+                          primed->trace};
+    const unsigned lanes = laneCountOf(barrier.log);
+    for (const unsigned threads : {1u, 2u, lanes}) {
         obs::TrialSet set(true);
         ShardedRunOptions ro;
-        ro.shards = arm.shards;
-        ro.threads = arm.threads;
+        ro.threads = threads;
         ro.obs = &set;
         std::string log;
         std::string error;
+        const std::string arm = "threads=" + std::to_string(threads);
         if (!restoreScenarioBarrier(scenario, ro, primed->prime, log,
                                     error)) {
-            std::ostringstream detail;
-            detail << "restore (shards=" << arm.shards
-                   << " threads=" << arm.threads << ") failed: " << error;
-            out.push_back({"prefix", detail.str()});
+            out.push_back({"prefix", "restore (" + arm + ") failed: " +
+                                         error});
             return out;
         }
-        const auto report = [&](const char *what, const std::string &a,
-                                const std::string &b) {
-            std::ostringstream detail;
-            detail << "shards=" << arm.shards << " threads=" << arm.threads
-                   << " " << what << ": " << firstDiff(a, b);
-            out.push_back({"prefix", detail.str()});
-        };
-        if (log != primed->prime.prefix_log) {
-            report("log", primed->prime.prefix_log, log);
-            return out;
-        }
-        const std::string metrics = mergedSetMetrics(set);
-        if (metrics != primed->metrics) {
-            report("merged metrics", primed->metrics, metrics);
-            return out;
-        }
-        const std::string trace = setTraceJson(set);
-        if (trace != primed->trace) {
-            report("chrome trace", primed->trace, trace);
+        const std::string diff =
+            renderDiff(barrier, rendersOf(std::move(log), set));
+        if (!diff.empty()) {
+            out.push_back({"prefix", arm + " " + diff});
             return out;
         }
     }
@@ -568,35 +516,25 @@ checkTimeTravelForks(const Scenario &scenario, const InvariantOptions &opts,
     obs::TrialSet straight_set(true);
     ShardedRunOptions straight_ro;
     straight_ro.obs = &straight_set;
-    const std::string straight_log =
-        runScenarioSharded(scenario, straight_ro);
-    const std::string straight_metrics = mergedSetMetrics(straight_set);
-    const std::string straight_trace = setTraceJson(straight_set);
+    const Renders straight =
+        rendersOf(runScenarioSharded(scenario, straight_ro), straight_set);
 
-    // Fork arms: (1, 1) twice — fork-determinism — plus the big
-    // grouping; every arm must equal the straight run byte for byte.
+    // Fork arms: one group twice — fork-determinism — plus one group
+    // per lane; every arm must equal the straight run byte for byte.
     // This is the only oracle that executes ShardedPlatform::appendOps,
     // so it alone can catch planted fault 6.
-    const Arm fork_arms[] = {
-        {1, 1},
-        {1, 1},
-        {opts.shard_arm, opts.threads},
-    };
+    const unsigned fork_threads[] = {1, 1, lanes};
     std::string first_fork_log;
-    for (std::size_t i = 0; i < std::size(fork_arms); ++i) {
-        const Arm &arm = fork_arms[i];
+    for (std::size_t i = 0; i < std::size(fork_threads); ++i) {
         obs::TrialSet set(true);
         ShardedRunOptions ro;
-        ro.shards = arm.shards;
-        ro.threads = arm.threads;
+        ro.threads = fork_threads[i];
         ro.obs = &set;
         std::string log;
         std::string error;
+        const std::string arm = "threads=" + std::to_string(ro.threads);
         if (!runScenarioForked(scenario, ro, primed->prime, log, error)) {
-            std::ostringstream detail;
-            detail << "fork (shards=" << arm.shards
-                   << " threads=" << arm.threads << ") failed: " << error;
-            out.push_back({"fork", detail.str()});
+            out.push_back({"fork", "fork (" + arm + ") failed: " + error});
             return out;
         }
         if (i == 0) {
@@ -608,26 +546,10 @@ checkTimeTravelForks(const Scenario &scenario, const InvariantOptions &opts,
                              firstDiff(first_fork_log, log)});
             return out;
         }
-        const auto report = [&](const char *what, const std::string &a,
-                                const std::string &b) {
-            std::ostringstream detail;
-            detail << "shards=" << arm.shards << " threads=" << arm.threads
-                   << " forked vs straight " << what << ": "
-                   << firstDiff(a, b);
-            out.push_back({"fork", detail.str()});
-        };
-        if (log != straight_log) {
-            report("log", straight_log, log);
-            return out;
-        }
-        const std::string metrics = mergedSetMetrics(set);
-        if (metrics != straight_metrics) {
-            report("merged metrics", straight_metrics, metrics);
-            return out;
-        }
-        const std::string trace = setTraceJson(set);
-        if (trace != straight_trace) {
-            report("chrome trace", straight_trace, trace);
+        const std::string diff =
+            renderDiff(straight, rendersOf(std::move(log), set));
+        if (!diff.empty()) {
+            out.push_back({"fork", arm + " forked vs straight " + diff});
             return out;
         }
     }

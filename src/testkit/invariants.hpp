@@ -20,10 +20,10 @@
  *    permutation of the participating instances.
  *  - shards: the sharded platform (faas::ShardedPlatform) must render
  *    byte-identical canonical logs, merged metrics JSON, and Chrome
- *    trace JSON for every (shards, threads) grouping of its fixed
- *    lanes — shards in {1, 2, shard_arm} crossed with threads in
- *    {1, N}. This is the oracle that catches the cross-lane window
- *    protocol's planted faults (fault_injection 3/4).
+ *    trace JSON for every grouping of its fixed lanes — one group,
+ *    two, and one per lane (threads 1, 2 and laneCount()). This is
+ *    the oracle that catches the cross-lane window protocol's planted
+ *    faults (fault_injection 3/4).
  *  - snapshot: checkpointing the sharded run at a window barrier
  *    (snap::Snapshotter) and restoring into a fresh platform — at the
  *    same lane grouping and at a different one — must finish with a
@@ -31,7 +31,7 @@
  *    byte-identical to the uninterrupted run. This is the oracle that
  *    catches the checkpoint path's planted fault (fault_injection 5).
  *  - prefix (time-travel scenarios): restoring the primed barrier
- *    image into a fresh platform at any (shards, threads) grouping
+ *    image into a fresh platform at any lane grouping
  *    and rendering it *without resuming* must reproduce the capture
  *    platform's log, merged metrics JSON, and Chrome trace JSON byte
  *    for byte — every fork agrees on everything up to the barrier.
@@ -65,7 +65,7 @@ struct Violation
 /** Which oracles to run, and how hard. */
 struct InvariantOptions
 {
-    unsigned threads = 4;       //!< worker count of the N-thread arm
+    unsigned threads = 4;       //!< worker count of the N-thread arms
     std::size_t thread_trials = 3; //!< trials per runTrials campaign
 
     bool check_reference = true;
@@ -77,10 +77,6 @@ struct InvariantOptions
 
     /** Fork oracles; engaged only on `[timetravel]` scenarios. */
     bool check_timetravel = true;
-
-    /** Largest shard count of the shard-equality arms ({1, 2, this}).
-     *  tools/fuzz_scenarios --shards overrides it. */
-    std::uint32_t shard_arm = 5;
 
     /**
      * The verify-permutation oracle costs a covert-channel campaign per

@@ -366,7 +366,6 @@ shardedConfigOf(const Scenario &scenario, const ShardedRunOptions &opts)
     cfg.orchestrator.fault_injection =
         opts.fault_override != ~0u ? opts.fault_override : scenario.fault;
     cfg.seed = opts.seed_override != 0 ? opts.seed_override : scenario.seed;
-    cfg.shards = opts.shards;
     cfg.threads = opts.threads;
     return cfg;
 }

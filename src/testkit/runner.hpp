@@ -105,8 +105,7 @@ ScenarioLog runScenario(const Scenario &scenario, const RunOptions &opts = {});
 /** Knobs of one sharded scenario execution (faas::ShardedPlatform). */
 struct ShardedRunOptions
 {
-    std::uint32_t shards = 1;  //!< worker groups over the fixed lanes
-    unsigned threads = 1;      //!< pool threads driving the groups
+    unsigned threads = 1; //!< lane groups, one per pool thread
 
     /** Force this fault_injection value; ~0u keeps the scenario's. */
     std::uint32_t fault_override = ~0u;
@@ -134,7 +133,7 @@ struct ShardedRunOptions
  * run through the window loop with a 20-minute drain horizon.
  *
  * @return The platform's canonical log (ShardedPlatform::renderLog).
- *         Byte-identical across every (shards, threads) — the
+ *         Byte-identical across every thread count — the
  *         shard-equality oracle's comparison unit. NOT comparable to
  *         runScenario's log: lanes draw reap delays from per-lane
  *         streams, so the sharded engine is a distinct deterministic
@@ -146,7 +145,7 @@ std::string runScenarioSharded(const Scenario &scenario,
 /**
  * Resume a sharded scenario run from @p image (captured by
  * runScenarioSharded with snapshot_out set, under the same scenario
- * and fault/seed overrides; shards/threads may differ). On success
+ * and fault/seed overrides; threads may differ). On success
  * @p log receives the completed run's canonical log — byte-identical
  * to the uninterrupted run's. On restore failure returns false with a
  * one-line reason in @p error.
@@ -189,7 +188,7 @@ bool runScenarioToBarrier(const Scenario &scenario,
  * Restore @p prime's image into a fresh platform at @p opts's
  * grouping and render its log *without resuming* — the
  * prefix-consistency oracle's probe: the result must be
- * byte-identical to prime.prefix_log at every (shards, threads).
+ * byte-identical to prime.prefix_log at every thread count.
  */
 bool restoreScenarioBarrier(const Scenario &scenario,
                             const ShardedRunOptions &opts,

@@ -159,6 +159,40 @@ TEST(ExprErrors, LinePreciseAndOneLine)
               std::string::npos);
 }
 
+TEST(ExprErrors, NestingDepthIsCapped)
+{
+    // Inputs that used to overflow the stack: each must come back as
+    // one line-precise error instead.
+    const std::string parens =
+        std::string(10'000, '(') + "x" + std::string(10'000, ')');
+    const std::string minus = std::string(200'000, '-') + "1";
+    std::string chain = "1";
+    for (int i = 0; i < 200'000; ++i)
+        chain += "+1";
+    for (const std::string &text : {parens, minus, chain}) {
+        const std::string msg = parseErrorOf(text);
+        EXPECT_EQ(msg.rfind("spec.scenario:9: expression nested deeper "
+                            "than 256 levels at column ",
+                            0),
+                  0u)
+            << msg.substr(0, 120);
+        EXPECT_EQ(msg.find('\n'), std::string::npos);
+    }
+
+    // The cap itself still parses and evaluates; one level more fails.
+    const auto nested = [](std::uint32_t depth) {
+        return std::string(depth, '(') + "x" + std::string(depth, ')');
+    };
+    EXPECT_DOUBLE_EQ(evalText(nested(kMaxExprDepth)), 10.0);
+    EXPECT_NE(parseErrorOf(nested(kMaxExprDepth + 1)).find("nested deeper"),
+              std::string::npos);
+    EXPECT_DOUBLE_EQ(evalText(std::string(kMaxExprDepth - 1, '-') + "1"),
+                     -1.0);
+    EXPECT_NE(parseErrorOf(std::string(kMaxExprDepth, '-') + "1")
+                  .find("nested deeper"),
+              std::string::npos);
+}
+
 TEST(TriggerEngine, TimelineAggregates)
 {
     CounterTimeline tl;

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <set>
 
 #include "core/fingerprint.hpp"
 #include "core/verify.hpp"
@@ -251,19 +251,20 @@ TEST(SingleInstanceElimination, FailsInFaaS)
 TEST(SingleInstanceElimination, WorksWhenInstancesAreAlone)
 {
     // Control: single instances on distinct hosts are all eliminated.
+    // Keep the first instance seen on each host of a launched pool, so
+    // every participant is alone by construction, whatever the seed.
     Fixture f(11);
-    f.launch(3);
-    std::map<std::uint64_t, int> host_counts;
-    for (const auto h : f.truth)
-        ++host_counts[h];
-    bool all_alone = true;
-    for (const auto &[h, c] : host_counts)
-        all_alone &= (c == 1);
-    if (!all_alone)
-        GTEST_SKIP() << "seed placed instances together";
+    f.launch(30);
+    std::vector<faas::InstanceId> alone;
+    std::set<std::uint64_t> hosts;
+    for (std::size_t i = 0; i < f.ids.size(); ++i) {
+        if (hosts.insert(f.truth[i]).second)
+            alone.push_back(f.ids[i]);
+    }
+    ASSERT_GE(alone.size(), 3u);
     channel::RngChannel chan(*f.platform);
     const auto survivors =
-        singleInstanceElimination(*f.platform, chan, f.ids);
+        singleInstanceElimination(*f.platform, chan, alone);
     EXPECT_TRUE(survivors.empty());
 }
 

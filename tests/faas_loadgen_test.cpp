@@ -269,12 +269,11 @@ TEST(SloQuantiles, HistogramQuantileInterpolates)
 // --------------------------------------------------- sharded open loop
 
 ShardedConfig
-shardedConfig(std::uint32_t shards, unsigned threads)
+shardedConfig(unsigned threads)
 {
     ShardedConfig cfg;
     cfg.profile.host_count = 550; // 5 lanes
     cfg.seed = 777;
-    cfg.shards = shards;
     cfg.threads = threads;
     return cfg;
 }
@@ -321,9 +320,8 @@ TEST(ShardedOpenLoop, LogIsGroupingInvariant)
     std::string logs[2];
     std::uint64_t arrivals[2] = {0, 0};
     int i = 0;
-    for (const auto &[shards, threads] :
-         {std::pair<std::uint32_t, unsigned>{1, 1}, {4, 4}}) {
-        ShardedPlatform platform(shardedConfig(shards, threads));
+    for (const unsigned threads : {1u, 4u}) {
+        ShardedPlatform platform(shardedConfig(threads));
         sim::SimTime horizon;
         platform.run(openLoopOps(platform, horizon), horizon);
         logs[i] = platform.renderLog();
@@ -343,7 +341,7 @@ TEST(ShardedOpenLoop, StreamsSurviveCheckpointRestore)
     // Straight run, capturing pre-fold at a barrier mid-span (window
     // 30 s; the streams run from 1 min to 5 min, so barrier 6 lands
     // at 3 min with every cursor live).
-    ShardedPlatform ref(shardedConfig(2, 1));
+    ShardedPlatform ref(shardedConfig(2));
     sim::SimTime horizon;
     ref.beginRun(openLoopOps(ref, horizon), horizon);
     for (std::uint32_t w = 0; w < 6; ++w) {
@@ -356,7 +354,7 @@ TEST(ShardedOpenLoop, StreamsSurviveCheckpointRestore)
     ref.resumeRun();
 
     // Restore into a differently-grouped platform and finish.
-    ShardedPlatform resumed(shardedConfig(5, 4));
+    ShardedPlatform resumed(shardedConfig(5));
     std::string error;
     ASSERT_TRUE(snap::Snapshotter::restore(image, resumed, error))
         << error;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the sharded platform: fixed lane partition, byte-equality
- * across (shards, threads) groupings, capacity conservation through
+ * across lane groupings (thread counts), capacity conservation through
  * the window barriers, and the planted cross-lane faults being caught
  * by the shard-equality oracle and shrinkable to tiny replays.
  */
@@ -46,12 +46,11 @@ crossLaneScenario(std::uint32_t fault = 0)
 }
 
 ShardedConfig
-smallConfig(std::uint32_t shards, unsigned threads)
+smallConfig(unsigned threads)
 {
     ShardedConfig cfg;
     cfg.profile.host_count = 550;
     cfg.seed = 77;
-    cfg.shards = shards;
     cfg.threads = threads;
     return cfg;
 }
@@ -59,10 +58,10 @@ smallConfig(std::uint32_t shards, unsigned threads)
 TEST(ShardedPlatform, LanePartitionIsFixed)
 {
     // The lane count and the account->lane map are platform
-    // properties: they must not depend on the shards/threads knobs.
+    // properties: they must not depend on the threads knob.
     std::vector<std::uint32_t> lanes_seen;
-    for (const std::uint32_t shards : {1u, 2u, 5u, 16u}) {
-        ShardedPlatform p(smallConfig(shards, shards));
+    for (const unsigned threads : {1u, 2u, 5u, 16u}) {
+        ShardedPlatform p(smallConfig(threads));
         EXPECT_EQ(p.laneCount(), 5u); // min(16, ceil(550/110))
         const AccountId pinned = p.createAccount(3u, 1000);
         const AccountId hashed = p.createAccount({}, 1000);
@@ -86,17 +85,10 @@ TEST(ShardedPlatform, LogByteIdenticalAcrossGroupings)
     // fold digest line.
     EXPECT_NE(want.find("window="), std::string::npos);
 
-    struct Arm
-    {
-        std::uint32_t shards;
-        unsigned threads;
-    };
-    for (const Arm arm : {Arm{2, 1}, Arm{3, 2}, Arm{5, 4}, Arm{16, 8}}) {
+    for (const unsigned threads : {2u, 3u, 4u, 5u, 16u}) {
         testkit::ShardedRunOptions ro;
-        ro.shards = arm.shards;
-        ro.threads = arm.threads;
-        EXPECT_EQ(runScenarioSharded(sc, ro), want)
-            << "shards=" << arm.shards << " threads=" << arm.threads;
+        ro.threads = threads;
+        EXPECT_EQ(runScenarioSharded(sc, ro), want) << "threads=" << threads;
     }
 }
 
@@ -104,7 +96,7 @@ TEST(ShardedPlatform, CommittedCapacityConservedAtBarriers)
 {
     // After run() every barrier has folded every lane delta, so the
     // committed table must equal the live instances exactly.
-    ShardedConfig cfg = smallConfig(2, 2);
+    ShardedConfig cfg = smallConfig(2);
     ShardedPlatform p(cfg);
     const AccountId a0 = p.createAccount(0u, 1000);
     const AccountId a1 = p.createAccount(4u, 1000);

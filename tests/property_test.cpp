@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "channel/covert.hpp"
@@ -19,6 +20,18 @@
 #include "stats/clustering.hpp"
 
 namespace eaao {
+namespace faas {
+
+// gtest's default printer dumps the raw bytes of a ContainerSize,
+// including its `name` pointer, so the discovered test names would
+// change with every address-space layout. Print the value instead.
+void PrintTo(const ContainerSize &size, std::ostream *os)
+{
+    *os << size.name;
+}
+
+} // namespace faas
+
 namespace {
 
 faas::PlatformConfig

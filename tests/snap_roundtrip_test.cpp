@@ -160,12 +160,11 @@ TEST(SnapRoundTrip, EventQueueSurvives10kOpPropertyTest)
 // ------------------------------------------------------------- platform
 
 faas::ShardedConfig
-campaignConfig(std::uint32_t shards, unsigned threads)
+campaignConfig(unsigned threads)
 {
     faas::ShardedConfig cfg;
     cfg.profile.host_count = 550; // 5 lanes
     cfg.seed = 4242;
-    cfg.shards = shards;
     cfg.threads = threads;
     return cfg;
 }
@@ -217,9 +216,9 @@ struct CapturedRun
 
 /** Run to the pre-fold barrier of @p capture_at, snapshot, finish. */
 CapturedRun
-primeCaptureFinish(std::uint32_t shards, unsigned threads)
+primeCaptureFinish(unsigned threads)
 {
-    faas::ShardedPlatform platform(campaignConfig(shards, threads));
+    faas::ShardedPlatform platform(campaignConfig(threads));
     sim::SimTime horizon;
     std::vector<faas::ShardOp> ops = campaignOps(platform, horizon);
     platform.beginRun(std::move(ops), horizon);
@@ -256,9 +255,9 @@ expectTotalsBitExact(const faas::ShardedTotals &a,
 
 TEST(SnapRoundTrip, RestoredRunMatchesStraightRunBitExact)
 {
-    const CapturedRun ref = primeCaptureFinish(2, 1);
+    const CapturedRun ref = primeCaptureFinish(2);
 
-    faas::ShardedPlatform platform(campaignConfig(2, 1));
+    faas::ShardedPlatform platform(campaignConfig(2));
     std::string error;
     ASSERT_TRUE(Snapshotter::restore(ref.image, platform, error)) << error;
     platform.resumeRun();
@@ -267,11 +266,11 @@ TEST(SnapRoundTrip, RestoredRunMatchesStraightRunBitExact)
 
 TEST(SnapRoundTrip, RestoreIsGroupingInvariant)
 {
-    // A snapshot captured at one (shards, threads) grouping restores
-    // at another: lane layout depends only on the fleet size.
-    const CapturedRun ref = primeCaptureFinish(2, 1);
+    // A snapshot captured at one lane grouping restores at another:
+    // lane layout depends only on the fleet size.
+    const CapturedRun ref = primeCaptureFinish(2);
 
-    faas::ShardedPlatform platform(campaignConfig(5, 4));
+    faas::ShardedPlatform platform(campaignConfig(5));
     std::string error;
     ASSERT_TRUE(Snapshotter::restore(ref.image, platform, error)) << error;
     platform.resumeRun();
@@ -280,7 +279,7 @@ TEST(SnapRoundTrip, RestoreIsGroupingInvariant)
 
 TEST(SnapRoundTrip, ForkManyReusesOnePlatformAndOneParse)
 {
-    const CapturedRun ref = primeCaptureFinish(3, 2);
+    const CapturedRun ref = primeCaptureFinish(3);
 
     // The forked-storm fast path: parse (and checksum) once, then
     // restore repeatedly into one reused platform — including into a
@@ -289,7 +288,7 @@ TEST(SnapRoundTrip, ForkManyReusesOnePlatformAndOneParse)
     std::string error;
     ASSERT_TRUE(reader.parse(ref.image, error, 2)) << error;
 
-    faas::ShardedPlatform platform(campaignConfig(3, 2));
+    faas::ShardedPlatform platform(campaignConfig(3));
     for (int fork = 0; fork < 3; ++fork) {
         ASSERT_TRUE(Snapshotter::restore(reader, platform, error))
             << "fork " << fork << ": " << error;
@@ -302,16 +301,16 @@ TEST(SnapRoundTrip, CapturedImageIsThreadCountInvariant)
 {
     // Parallel per-lane capture must assemble the identical image a
     // serial capture produces.
-    const CapturedRun serial = primeCaptureFinish(5, 1);
-    const CapturedRun fanned = primeCaptureFinish(5, 4);
+    const CapturedRun serial = primeCaptureFinish(1);
+    const CapturedRun fanned = primeCaptureFinish(4);
     EXPECT_EQ(serial.image, fanned.image);
 }
 
 TEST(SnapRoundTrip, RestoreRejectsConfigMismatch)
 {
-    const CapturedRun ref = primeCaptureFinish(2, 1);
+    const CapturedRun ref = primeCaptureFinish(2);
 
-    faas::ShardedConfig other = campaignConfig(2, 1);
+    faas::ShardedConfig other = campaignConfig(2);
     other.seed = 4243; // fingerprinted: must refuse
     faas::ShardedPlatform platform(other);
     std::string error;

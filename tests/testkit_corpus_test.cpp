@@ -106,7 +106,6 @@ TEST(Corpus, ShrinkIsFixedPointOnMutationMinima)
         InvariantOptions opts;
         opts.threads = 2;
         opts.thread_trials = 2;
-        opts.shard_arm = 2;
         const FailurePredicate still_fails =
             [&opts](const Scenario &candidate) {
                 return !checkInvariants(candidate, opts).empty();

@@ -12,7 +12,7 @@
  *
  * Usage:
  *   fuzz_scenarios [--seed S] [--time-budget SECONDS]
- *                  [--max-scenarios N] [--threads N] [--shards N]
+ *                  [--max-scenarios N] [--threads N]
  *                  [--verify-every N] [--snapshot-every N]
  *                  [--inject-fault K] [--out DIR] [--replay FILE]
  *                  [--fork-at B] [--forks N] [--fork-budget M]
@@ -58,7 +58,6 @@ struct Args
     double time_budget_s = 60.0;
     std::uint64_t max_scenarios = ~0ULL;
     unsigned threads = 4;
-    std::uint32_t shards = 5; //!< largest shard-equality arm
     std::uint64_t verify_every = 25; //!< 0 disables the verify oracle
     std::uint64_t snapshot_every = 4; //!< 0 disables the snapshot oracle
     std::uint32_t inject_fault = 0;
@@ -75,7 +74,7 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [--seed S] [--time-budget SECONDS] [--max-scenarios N]\n"
-        "          [--threads N] [--shards N] [--verify-every N]\n"
+        "          [--threads N] [--verify-every N]\n"
         "          [--snapshot-every N] [--inject-fault K]\n"
         "          [--out DIR] [--replay FILE]\n"
         "          [--fork-at B] [--forks N] [--fork-budget M]\n",
@@ -103,9 +102,6 @@ parseArgs(int argc, char **argv)
         else if (std::strcmp(arg, "--threads") == 0)
             args.threads =
                 static_cast<unsigned>(std::strtoul(value(i), nullptr, 10));
-        else if (std::strcmp(arg, "--shards") == 0)
-            args.shards = static_cast<std::uint32_t>(
-                std::strtoul(value(i), nullptr, 10));
         else if (std::strcmp(arg, "--verify-every") == 0)
             args.verify_every = std::strtoull(value(i), nullptr, 10);
         else if (std::strcmp(arg, "--snapshot-every") == 0)
@@ -144,7 +140,6 @@ oracleOptions(const Args &args, std::uint64_t index)
 {
     testkit::InvariantOptions opts;
     opts.threads = args.threads > 1 ? args.threads : 4;
-    opts.shard_arm = args.shards > 1 ? args.shards : 5;
     // The verify oracle costs a covert-channel campaign; sample it.
     opts.check_verify =
         args.verify_every != 0 && index % args.verify_every == 0;
@@ -187,7 +182,6 @@ replay(const Args &args)
     // Replay runs the complete oracle suite, verify included.
     testkit::InvariantOptions opts;
     opts.threads = args.threads > 1 ? args.threads : 4;
-    opts.shard_arm = args.shards > 1 ? args.shards : 5;
     opts.check_verify = true;
     opts.check_snapshot = true;
     const std::vector<testkit::Violation> violations =
