@@ -1,9 +1,10 @@
 /**
  * @file
  * The one generic campaign driver: executes any
- * `eaao-scenario v2` campaign file (the .scenario files in
- * bench/campaigns/) or a bare v1 replay, replacing the per-figure
- * bench binaries.
+ * `eaao-scenario v2` campaign file, replacing the per-figure bench
+ * binaries. That covers the .scenario files in bench/campaigns/ and
+ * the fuzzer's replay files in tests/corpus/, which are campaigns of
+ * the `replay` program.
  *
  *   run_campaign FILE [--threads N] [--bench-json F] [--trace-json F]
  *                     [--metrics-json F]
@@ -21,16 +22,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
-#include "campaign/specfile.hpp"
 #include "core/report.hpp"
-#include "testkit/scenario.hpp"
 
 namespace {
 
@@ -56,36 +53,6 @@ isValueFlag(const std::string &flag)
            flag == "--trace-json" || flag == "--metrics-json";
 }
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        throw campaign::SpecError(path + ":1: cannot open file");
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
-
-/**
- * Load @p path as a campaign: a v2 file directly; a v1 replay is
- * auto-wrapped by round-tripping it through testkit's Scenario (whose
- * serialize() emits the v2 `replay` campaign).
- */
-campaign::CampaignSpec
-loadCampaign(const std::string &path)
-{
-    const std::string text = readFile(path);
-    if (campaign::looksLikeV1(text)) {
-        testkit::Scenario scenario;
-        std::string error;
-        if (!testkit::Scenario::parse(text, scenario, error))
-            throw campaign::SpecError(path + ": " + error);
-        return campaign::CampaignSpec::parse(scenario.serialize(), path);
-    }
-    return campaign::CampaignSpec::parse(text, path);
-}
-
 int
 listCampaigns(const std::string &dir)
 {
@@ -106,7 +73,8 @@ listCampaigns(const std::string &dir)
     table.header({"campaign", "program", "title"});
     for (const std::string &path : paths) {
         try {
-            const campaign::CampaignSpec spec = loadCampaign(path);
+            const campaign::CampaignSpec spec =
+                campaign::CampaignSpec::load(path);
             table.row({spec.name(), spec.program(), spec.title()});
         } catch (const campaign::SpecError &e) {
             table.row({fs::path(path).stem().string(), "(error)",
@@ -122,7 +90,7 @@ listCampaigns(const std::string &dir)
 int
 describeCampaign(const std::string &path)
 {
-    const campaign::CampaignSpec spec = loadCampaign(path);
+    const campaign::CampaignSpec spec = campaign::CampaignSpec::load(path);
     std::printf("campaign %s  (program: %s)\n", spec.name().c_str(),
                 spec.program().c_str());
     if (!spec.title().empty())
@@ -190,7 +158,8 @@ main(int argc, char **argv)
             return usage(stderr);
         if (describe)
             return describeCampaign(file);
-        return campaign::runCampaign(loadCampaign(file), argc, argv);
+        return campaign::runCampaign(campaign::CampaignSpec::load(file),
+                                     argc, argv);
     } catch (const campaign::SpecError &e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 2;

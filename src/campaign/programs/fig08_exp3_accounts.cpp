@@ -40,8 +40,10 @@ EAAO_CAMPAIGN_PROGRAM(fig08_exp3_accounts)
          spec.directives("tenants", "account")) {
         if (line->tokens.size() != 2)
             spec.fail(line->line_no, "expected: account <shard>");
-        accounts.push_back(platform.createAccount(
-            static_cast<std::uint32_t>(std::stoul(line->tokens[1]))));
+        const std::int64_t last_shard =
+            static_cast<std::int64_t>(platform.fleet().shardCount()) - 1;
+        accounts.push_back(platform.createAccount(static_cast<std::uint32_t>(
+            spec.intArg(*line, 1, 0, last_shard, "account shard"))));
     }
     std::vector<faas::ServiceId> services;
     for (const auto acct : accounts) {

@@ -6,8 +6,9 @@
  * The [workload] section declares arrival streams — one `stream`
  * directive per (service, family, rate, burstiness, service time,
  * span, churn, start) tuple — plus the warm-capacity and admission
- * knobs; [tenants] declares the account/service topology with the
- * same directive grammar testkit replay files use. The program
+ * knobs; [tenants] declares the account/service topology, read and
+ * created by testkit's replay-file reader (tenantsFromSpec,
+ * setupTenants), so shard pins wrap modulo the shard count. The program
  * compiles everything into ShardOps, drives the window loop itself,
  * and samples the fleet-wide SLO counters (slo.admitted, slo.p99_s,
  * ...) at every barrier so [triggers] conditions can watch admission
@@ -22,6 +23,7 @@
 #include "faas/sharded.hpp"
 #include "obs/metrics.hpp"
 #include "support/bench_timer.hpp"
+#include "testkit/runner.hpp"
 
 #include <algorithm>
 #include <cstdio>
@@ -77,21 +79,6 @@ shedByName(const campaign::CampaignSpec &spec, const std::string &name)
                               "' (queue, reject, shed_oldest)");
 }
 
-faas::ContainerSize
-sizeOf(std::uint32_t idx)
-{
-    switch (idx) {
-    case 0:
-        return faas::sizes::kPico;
-    case 2:
-        return faas::sizes::kMedium;
-    case 3:
-        return faas::sizes::kLarge;
-    default:
-        return faas::sizes::kSmall;
-    }
-}
-
 /** One parsed `stream` directive. */
 struct StreamDecl
 {
@@ -119,7 +106,7 @@ EAAO_CAMPAIGN_PROGRAM(loadgen)
     // -- Platform shape. --------------------------------------------
     faas::ShardedConfig cfg;
     cfg.profile = campaign::profileOf(spec, "platform", "profile");
-    if (const std::uint32_t hosts = spec.u32("platform", "hosts", 0))
+    if (const std::uint32_t hosts = spec.hosts())
         cfg.profile.host_count = hosts;
     cfg.seed = spec.u64("platform", "seed");
     cfg.window =
@@ -128,51 +115,23 @@ EAAO_CAMPAIGN_PROGRAM(loadgen)
     cfg.orchestrator.shed_policy =
         shedByName(spec, spec.str("workload", "shed", "queue"));
     cfg.threads = ctx.threads;
+    const testkit::Scenario tenants = testkit::tenantsFromSpec(spec);
 
     faas::ShardedPlatform platform(cfg);
 
-    // -- Tenant topology ([tenants], testkit directive grammar). -----
+    // -- Tenant topology ([tenants], the replay-file grammar). --------
     std::vector<faas::AccountId> accounts;
-    for (const campaign::SpecLine *line :
-         spec.directives("tenants", "account")) {
-        const double shard = numToken(spec, *line, 1, "account shard");
-        const double quota = numToken(spec, *line, 2, "account quota");
-        accounts.push_back(platform.createAccount(
-            shard < 0 ? std::optional<std::uint32_t>{}
-                      : std::optional<std::uint32_t>(
-                            static_cast<std::uint32_t>(shard)),
-            static_cast<std::uint32_t>(quota)));
-    }
     std::vector<faas::ServiceId> services;
-    for (const campaign::SpecLine *line :
-         spec.directives("tenants", "service")) {
-        const auto acct = static_cast<std::size_t>(
-            numToken(spec, *line, 1, "service account"));
-        if (acct >= accounts.size())
-            spec.fail(line->line_no, "service references missing account");
-        const auto env = static_cast<std::uint32_t>(
-            numToken(spec, *line, 2, "service env"));
-        const auto size = static_cast<std::uint32_t>(
-            numToken(spec, *line, 3, "service size"));
-        services.push_back(platform.deployService(
-            accounts[acct],
-            env == 0 ? faas::ExecEnv::Gen1 : faas::ExecEnv::Gen2,
-            sizeOf(size)));
-    }
-    if (services.empty())
-        throw campaign::SpecError(spec.file().path +
-                                  ": loadgen needs at least one "
-                                  "[tenants] service");
+    testkit::setupTenants(platform, tenants, accounts, services);
 
     // -- Streams ([workload] stream directives). ---------------------
     std::vector<StreamDecl> streams;
     for (const campaign::SpecLine *line :
          spec.directives("workload", "stream")) {
         StreamDecl s;
-        s.service = static_cast<std::uint32_t>(
-            numToken(spec, *line, 1, "stream service"));
-        if (s.service >= services.size())
-            spec.fail(line->line_no, "stream references missing service");
+        s.service = static_cast<std::uint32_t>(spec.intArg(
+            *line, 1, 0, static_cast<std::int64_t>(services.size()) - 1,
+            "stream service"));
         if (line->tokens.size() < 3)
             spec.fail(line->line_no, "missing stream family token");
         s.family = line->tokens[2];

@@ -3,10 +3,10 @@
  * The `replay` program: executes the scenario embedded in the
  * campaign's [platform]/[tenants]/[script] sections through testkit's
  * deterministic runner and prints the canonical log — the same unit
- * the fuzzer's invariant oracles compare. `run_campaign` auto-wraps a
- * bare v1 replay file into this program, so corpus files run
- * unchanged; [triggers] conditions are evaluated against counters
- * sampled after every step.
+ * the fuzzer's invariant oracles compare. Replay files written by the
+ * fuzzer and the shrinker (tests/corpus/) are campaigns of this
+ * program, so `run_campaign` runs them as they are; [triggers]
+ * conditions are evaluated against counters sampled after every step.
  */
 
 #include "campaign/runner.hpp"
@@ -19,12 +19,7 @@ EAAO_CAMPAIGN_PROGRAM(replay)
 {
     using namespace eaao;
 
-    testkit::Scenario scenario;
-    std::string error;
-    if (!testkit::Scenario::parse(ctx.spec.file().render(), scenario,
-                                  error)) {
-        throw campaign::SpecError(ctx.spec.file().path + ": " + error);
-    }
+    const testkit::Scenario scenario = testkit::Scenario::fromSpec(ctx.spec);
 
     testkit::RunOptions opts;
     if (!ctx.triggers.empty()) {

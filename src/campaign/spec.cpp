@@ -5,8 +5,10 @@
 
 #include "campaign/spec.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace eaao::campaign {
@@ -21,6 +23,31 @@ parseNumber(const std::string &text, double &out)
     char *end = nullptr;
     out = std::strtod(text.c_str(), &end);
     return end == text.c_str() + text.size();
+}
+
+/** @p token as an integer of type T: the whole token, in T's range. */
+template <typename T>
+bool
+parseInteger(const std::string &token, T &out)
+{
+    const char *end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+    return ec == std::errc() && ptr == end;
+}
+
+/** The value of key line @p line as an unsigned T, exactly. */
+template <typename T>
+T
+unsignedValue(const CampaignSpec &spec, const SpecLine &line)
+{
+    T value = 0;
+    if (!parseInteger(line.value, value)) {
+        spec.fail(line.line_no,
+                  "'" + line.key + "' expects an integer in 0.." +
+                      std::to_string(std::numeric_limits<T>::max()) +
+                      ", got '" + line.value + "'");
+    }
+    return value;
 }
 
 } // namespace
@@ -143,13 +170,7 @@ CampaignSpec::num(const std::string &section, const std::string &key,
 std::uint32_t
 CampaignSpec::u32(const std::string &section, const std::string &key) const
 {
-    const double value = num(section, key);
-    const auto u = static_cast<std::uint32_t>(value);
-    if (value < 0.0 || static_cast<double>(u) != value) {
-        fail(requireLine(section, key).line_no,
-             "'" + key + "' expects a nonnegative integer");
-    }
-    return u;
+    return unsignedValue<std::uint32_t>(*this, requireLine(section, key));
 }
 
 std::uint32_t
@@ -162,13 +183,19 @@ CampaignSpec::u32(const std::string &section, const std::string &key,
 std::uint64_t
 CampaignSpec::u64(const std::string &section, const std::string &key) const
 {
-    const double value = num(section, key);
-    const auto u = static_cast<std::uint64_t>(value);
-    if (value < 0.0 || static_cast<double>(u) != value) {
-        fail(requireLine(section, key).line_no,
-             "'" + key + "' expects a nonnegative integer");
+    return unsignedValue<std::uint64_t>(*this, requireLine(section, key));
+}
+
+std::uint32_t
+CampaignSpec::hosts() const
+{
+    const std::uint32_t hosts = u32("platform", "hosts", 0);
+    if (hosts > kMaxHosts) {
+        fail(findLine("platform", "hosts")->line_no,
+             "'hosts' = " + std::to_string(hosts) + " exceeds the " +
+                 std::to_string(kMaxHosts) + "-host cap");
     }
-    return u;
+    return hosts;
 }
 
 bool
@@ -218,6 +245,24 @@ CampaignSpec::directives(const std::string &section,
             hits.push_back(&line);
     }
     return hits;
+}
+
+std::int64_t
+CampaignSpec::intArg(const SpecLine &line, std::size_t index,
+                     std::int64_t lo, std::int64_t hi,
+                     const std::string &what) const
+{
+    if (index >= line.tokens.size())
+        fail(line.line_no, "missing " + what);
+    const std::string &token = line.tokens[index];
+    std::int64_t value = 0;
+    if (!parseInteger(token, value) || value < lo || value > hi) {
+        fail(line.line_no, what + " expects an integer in " +
+                               std::to_string(lo) + ".." +
+                               std::to_string(hi) + ", got '" + token +
+                               "'");
+    }
+    return value;
 }
 
 std::vector<Trigger>

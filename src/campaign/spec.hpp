@@ -22,6 +22,14 @@
 
 namespace eaao::campaign {
 
+/**
+ * Largest fleet a campaign may ask for in `[platform] hosts`. A
+ * million-host fleet takes about 330 MB; ten times that takes
+ * gigabytes, and a typo in the billions would die in the allocator
+ * instead of at the offending line.
+ */
+inline constexpr std::uint32_t kMaxHosts = 1'000'000;
+
 class CampaignSpec
 {
   public:
@@ -43,6 +51,9 @@ class CampaignSpec
     /** `[campaign] title` (empty when absent). */
     const std::string &title() const { return title_; }
 
+    /** `[platform] hosts` (0 when absent), at most kMaxHosts. */
+    std::uint32_t hosts() const;
+
     // -- Checked scalar access, addressed by (section, key). ---------
 
     bool has(const std::string &section, const std::string &key) const;
@@ -56,6 +67,7 @@ class CampaignSpec
     double num(const std::string &section, const std::string &key,
                double fallback) const;
 
+    /** Integer keys are read exactly: the whole value, in range. */
     std::uint32_t u32(const std::string &section,
                       const std::string &key) const;
     std::uint32_t u32(const std::string &section, const std::string &key,
@@ -83,6 +95,14 @@ class CampaignSpec
      */
     std::vector<const SpecLine *>
     directives(const std::string &section, const std::string &head) const;
+
+    /**
+     * Token @p index of directive @p line as an integer in
+     * [@p lo, @p hi], read exactly; @p what names it in the error.
+     */
+    std::int64_t intArg(const SpecLine &line, std::size_t index,
+                        std::int64_t lo, std::int64_t hi,
+                        const std::string &what) const;
 
     // -- Structured sections. ---------------------------------------
 

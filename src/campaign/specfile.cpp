@@ -82,27 +82,6 @@ tokenize(const std::string &text, std::vector<std::string> &out)
 } // namespace
 
 bool
-parseHeaderVersion(const std::string &line, unsigned &version)
-{
-    return std::sscanf(trim(line).c_str(), "eaao-scenario v%u",
-                       &version) == 1;
-}
-
-bool
-looksLikeV1(const std::string &text)
-{
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-        line = trim(line);
-        if (line.empty() || line[0] == '#')
-            continue;
-        return line == "eaao-scenario v1";
-    }
-    return false;
-}
-
-bool
 isKnownSection(const std::string &name)
 {
     for (const char *known : kKnownSections) {
@@ -159,6 +138,8 @@ SpecFile::parse(const std::string &text, const std::string &path,
     std::size_t line_no = 0;
     bool saw_header = false;
     SpecSection *current = nullptr;
+    const std::string header =
+        "eaao-scenario v" + std::to_string(kSpecVersion);
 
     const auto fail = [&](const std::string &why) {
         error = path + ":" + std::to_string(line_no) + ": " + why;
@@ -172,24 +153,21 @@ SpecFile::parse(const std::string &text, const std::string &path,
             continue;
 
         if (!saw_header) {
+            // Only the current header is read. A newer version says
+            // so; anything else, the flat v1 replay format included,
+            // is not a header.
             unsigned version = 0;
-            if (!parseHeaderVersion(line, version)) {
-                return fail("expected header 'eaao-scenario v" +
-                            std::to_string(kSpecVersion) + "'");
-            }
-            if (version == 1) {
-                return fail(
-                    "v1 is the flat replay format; this parser reads "
-                    "the sectioned v2 format (see docs/scenario-dsl.md)");
-            }
-            if (version > kSpecVersion) {
+            const bool versioned =
+                std::sscanf(line.c_str(), "eaao-scenario v%u", &version) == 1;
+            if (versioned && version > kSpecVersion) {
                 return fail("scenario version v" +
                             std::to_string(version) +
                             " is newer than this binary supports (max v" +
                             std::to_string(kSpecVersion) +
                             "); rebuild or regenerate the file");
             }
-            out.version = version;
+            if (line != header)
+                return fail("expected header '" + header + "'");
             saw_header = true;
             continue;
         }
@@ -236,8 +214,7 @@ SpecFile::parse(const std::string &text, const std::string &path,
 
     if (!saw_header) {
         line_no = 1;
-        return fail("empty file (no 'eaao-scenario v" +
-                    std::to_string(kSpecVersion) + "' header)");
+        return fail("empty file (no '" + header + "' header)");
     }
     error.clear();
     return true;
@@ -247,7 +224,7 @@ std::string
 SpecFile::render() const
 {
     std::ostringstream out;
-    out << "eaao-scenario v" << version << "\n";
+    out << "eaao-scenario v" << kSpecVersion << "\n";
     for (const SpecSection &section : sections) {
         out << "\n[" << section.name << "]\n";
         for (const SpecLine &line : section.lines) {

@@ -10,7 +10,7 @@
  * (`account -1 1000`, `trigger surge when ... emit "..."`). Tokens
  * split on whitespace; double-quoted tokens may contain spaces. This
  * layer is purely syntactic — it keeps raw text and line numbers so
- * every typed accessor above it (spec.hpp, testkit's replay parser)
+ * every typed accessor above it (spec.hpp, testkit's Scenario::fromSpec)
  * can report one-line, line-precise errors.
  */
 
@@ -72,17 +72,16 @@ struct SpecSection
 struct SpecFile
 {
     std::string path = "<memory>";  //!< origin, used in error messages
-    unsigned version = kSpecVersion;
     std::vector<SpecSection> sections;
 
     const SpecSection *section(const std::string &name) const;
 
     /**
      * Parse @p text (a v2 file). On failure returns false with a
-     * one-line, line-precise message in @p error. A v1 header is
-     * reported as such (callers that also speak v1 sniff the header
-     * first); a version above kSpecVersion yields the
-     * "newer than this binary supports" message.
+     * one-line, line-precise message in @p error. Any header other
+     * than `eaao-scenario v2` is rejected; a version above
+     * kSpecVersion yields the "newer than this binary supports"
+     * message.
      */
     static bool parse(const std::string &text, const std::string &path,
                       SpecFile &out, std::string &error);
@@ -90,12 +89,6 @@ struct SpecFile
     /** Canonical re-rendering (used by `run_campaign --describe`). */
     std::string render() const;
 };
-
-/** "eaao-scenario v<N>" if @p line is a well-formed header. */
-bool parseHeaderVersion(const std::string &line, unsigned &version);
-
-/** True when @p text's first meaningful line is a v1 header. */
-bool looksLikeV1(const std::string &text);
 
 /** Section names the v2 format defines; anything else is an error. */
 bool isKnownSection(const std::string &name);

@@ -15,7 +15,7 @@
  *                   u64 offset, u64 size, u64 FNV-1a checksum
  *
  * Readers reject a bad magic, a version newer than they support
- * (mirroring Scenario::parse's forward-version rejection), a section
+ * (mirroring the campaign reader's forward-version rejection), a section
  * table that points outside the image, and any payload whose FNV-1a
  * 64-bit checksum disagrees with the table — each with a one-line
  * error a driver can print before exiting 2. Doubles are serialized

@@ -100,10 +100,8 @@ prefixSplitOf(const Scenario &sc)
                : sc.steps.size();
 }
 
-/**
- * Create the scenario's accounts and services on @p platform (serial
- * or sharded — identical API and identical dense-id assignment).
- */
+} // namespace
+
 template <typename PlatformT>
 void
 setupTenants(PlatformT &platform, const Scenario &scenario,
@@ -121,12 +119,21 @@ setupTenants(PlatformT &platform, const Scenario &scenario,
     services.reserve(scenario.services.size());
     for (const ScenarioService &s : scenario.services) {
         services.push_back(platform.deployService(
-            accounts[s.account % accounts.size()], // parse() validates; the
-                                                   // shrinker may not
+            accounts[s.account % accounts.size()], // the reader validates;
+                                                   // the shrinker may not
             s.env == 1 ? faas::ExecEnv::Gen2 : faas::ExecEnv::Gen1,
             sizeOf(s.size)));
     }
 }
+
+template void setupTenants(faas::Platform &, const Scenario &,
+                           std::vector<faas::AccountId> &,
+                           std::vector<faas::ServiceId> &);
+template void setupTenants(faas::ShardedPlatform &, const Scenario &,
+                           std::vector<faas::AccountId> &,
+                           std::vector<faas::ServiceId> &);
+
+namespace {
 
 /** Conditional SLO log section (empty when nothing was admitted). */
 std::string

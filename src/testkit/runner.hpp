@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "faas/trace.hpp"
+#include "faas/types.hpp"
 #include "obs/export.hpp"
 #include "obs/observer.hpp"
 #include "sim/time.hpp"
@@ -93,6 +94,18 @@ struct ScenarioLog
     /** Canonical text form; doubles rendered with %.17g. */
     std::string render() const;
 };
+
+/**
+ * Create @p scenario's accounts and services on @p platform
+ * (faas::Platform or faas::ShardedPlatform: the same API and the same
+ * dense-id assignment), appending their ids to @p accounts and
+ * @p services. Shard pins wrap modulo the fleet's shard count, so a
+ * pin survives a smaller fleet.
+ */
+template <typename PlatformT>
+void setupTenants(PlatformT &platform, const Scenario &scenario,
+                  std::vector<faas::AccountId> &accounts,
+                  std::vector<faas::ServiceId> &services);
 
 /**
  * Execute @p scenario. Steps that reference terminated instances or

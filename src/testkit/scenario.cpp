@@ -5,11 +5,15 @@
 
 #include "testkit/scenario.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <initializer_list>
 #include <sstream>
+#include <string_view>
 
-#include "campaign/specfile.hpp"
+#include "campaign/spec.hpp"
 #include "snap/format.hpp"
 #include "support/logging.hpp"
 
@@ -28,16 +32,14 @@ constexpr const char *kKindTokens[kStepKindCount] = {
 constexpr const char *kProfileNames[3] = {"us-east1", "us-central1",
                                           "us-west1"};
 
-bool
-parseProfileName(const std::string &token, std::uint8_t &out)
+/** A digest as the 16 hex digits replay files carry. */
+std::string
+hex16(std::uint64_t v)
 {
-    for (std::uint8_t i = 0; i < 3; ++i) {
-        if (token == kProfileNames[i]) {
-            out = i;
-            return true;
-        }
-    }
-    return false;
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
 }
 
 bool
@@ -69,10 +71,10 @@ toString(ScenarioStep::Kind kind)
 std::string
 Scenario::serialize() const
 {
-    // v2, the sectioned campaign format (docs/scenario-dsl.md): the
+    // The sectioned campaign format (docs/scenario-dsl.md): the
     // shrinker's replays and the fuzzer's generated scenarios share
     // one schema with the bench campaign files, and `run_campaign`
-    // executes them directly. parse() still reads committed v1 files.
+    // executes them directly.
     std::ostringstream out;
     out << "eaao-scenario v2\n";
     out << "\n[campaign]\n";
@@ -99,321 +101,202 @@ Scenario::serialize() const
             << " " << s.b << "\n";
     }
     if (has_timetravel) {
-        char digest[32];
-        std::snprintf(digest, sizeof digest, "%016llx",
-                      static_cast<unsigned long long>(tt_prefix_digest));
         out << "\n[timetravel]\n";
         out << "barrier = " << tt_barrier << "\n";
         out << "prefix_steps = " << tt_prefix_steps << "\n";
-        out << "prefix_digest = " << digest << "\n";
+        out << "prefix_digest = " << hex16(tt_prefix_digest) << "\n";
     }
     return out.str();
 }
 
 namespace {
 
-/** Shared validation of the parsed topology (both versions). */
-bool
-validateScenario(const Scenario &out, std::string &error)
+using campaign::CampaignSpec;
+using campaign::SpecLine;
+using campaign::SpecSection;
+
+/** Token @p index of @p line as a u32, exactly. */
+std::uint32_t
+u32Arg(const CampaignSpec &spec, const SpecLine &line, std::size_t index,
+       const std::string &what)
 {
-    if (out.accounts.empty()) {
-        error = "scenario has no accounts";
-        return false;
-    }
-    if (out.services.empty()) {
-        error = "scenario has no services";
-        return false;
-    }
-    for (std::size_t i = 0; i < out.services.size(); ++i) {
-        if (out.services[i].account >= out.accounts.size()) {
-            std::ostringstream msg;
-            msg << "service " << i << " references account "
-                << out.services[i].account << " of " << out.accounts.size();
-            error = msg.str();
-            return false;
-        }
-    }
-    return true;
+    return static_cast<std::uint32_t>(
+        spec.intArg(line, index, 0, UINT32_MAX, what));
 }
 
 /**
- * The v2 path: the sectioned campaign format. The replay parser reads
- * [platform], [tenants], and [script]; other sections ([campaign],
- * [outputs], ...) belong to the campaign layer and are ignored here.
+ * The `key = value` lines of [@p section], each with a key in
+ * @p keys; nullptr when the section is absent.
  */
-bool
-parseV2(const std::string &text, Scenario &out, std::string &error)
+const SpecSection *
+keyedSection(const CampaignSpec &spec, const std::string &section,
+             std::initializer_list<std::string_view> keys)
 {
-    campaign::SpecFile file;
-    if (!campaign::SpecFile::parse(text, "replay", file, error))
-        return false;
-
-    std::size_t line_no = 0;
-    const auto fail = [&](const std::string &why) {
-        std::ostringstream msg;
-        msg << "line " << line_no << ": " << why;
-        error = msg.str();
-        return false;
-    };
-
-    if (const campaign::SpecSection *platform = file.section("platform")) {
-        for (const campaign::SpecLine &l : platform->lines) {
-            line_no = l.line_no;
-            if (!l.isKeyValue())
-                return fail("expected key = value in [platform]");
-            std::istringstream ls(l.value);
-            if (l.key == "seed") {
-                if (!(ls >> out.seed))
-                    return fail("bad seed");
-            } else if (l.key == "profile") {
-                if (l.tokens.size() != 1 ||
-                    !parseProfileName(l.tokens[0], out.profile)) {
-                    return fail("bad profile (want us-east1 / "
-                                "us-central1 / us-west1)");
-                }
-            } else if (l.key == "hosts") {
-                if (!(ls >> out.host_count))
-                    return fail("bad hosts");
-            } else if (l.key == "isolate") {
-                unsigned v = 0;
-                if (!(ls >> v) || v > 1)
-                    return fail("bad isolate (want 0/1)");
-                out.isolate_accounts = v != 0;
-            } else if (l.key == "hot_burst_min") {
-                if (!(ls >> out.hot_burst_min))
-                    return fail("bad hot_burst_min");
-            } else if (l.key == "fault") {
-                if (!(ls >> out.fault))
-                    return fail("bad fault");
-            } else {
-                return fail("unknown [platform] key '" + l.key + "'");
-            }
+    const SpecSection *s = spec.file().section(section);
+    if (s == nullptr)
+        return nullptr;
+    for (const SpecLine &l : s->lines) {
+        if (!l.isKeyValue())
+            spec.fail(l.line_no, "expected key = value in [" + section + "]");
+        if (std::find(keys.begin(), keys.end(), l.key) == keys.end()) {
+            spec.fail(l.line_no,
+                      "unknown [" + section + "] key '" + l.key + "'");
         }
     }
+    return s;
+}
 
-    if (const campaign::SpecSection *tenants = file.section("tenants")) {
-        for (const campaign::SpecLine &l : tenants->lines) {
-            line_no = l.line_no;
-            if (l.isKeyValue() || l.tokens.empty())
-                return fail("expected 'account ...' or 'service ...' "
-                            "in [tenants]");
-            std::istringstream ls(l.raw);
-            std::string head;
-            ls >> head;
-            if (head == "account") {
-                ScenarioAccount a;
-                if (!(ls >> a.shard >> a.quota))
-                    return fail(
-                        "bad account line (want: account <shard> <quota>)");
-                out.accounts.push_back(a);
-            } else if (head == "service") {
-                ScenarioService s;
-                unsigned env = 0, size = 0;
-                if (!(ls >> s.account >> env >> size) || env > 1 ||
-                    size > 3) {
-                    return fail("bad service line (want: service "
-                                "<account> <env 0/1> <size 0..3>)");
-                }
-                s.env = static_cast<std::uint8_t>(env);
-                s.size = static_cast<std::uint8_t>(size);
-                out.services.push_back(s);
-            } else {
-                return fail("unknown [tenants] directive '" + head + "'");
-            }
-        }
+/** Read `[timetravel]` into @p sc, whose steps are already read. */
+void
+readTimeTravel(const CampaignSpec &spec, Scenario &sc)
+{
+    const SpecSection *tt = keyedSection(
+        spec, "timetravel", {"barrier", "prefix_steps", "prefix_digest"});
+    if (tt == nullptr)
+        return;
+    const SpecLine *steps = tt->find("prefix_steps");
+    const SpecLine *digest = tt->find("prefix_digest");
+    if (tt->find("barrier") == nullptr || steps == nullptr ||
+        digest == nullptr) {
+        spec.fail(tt->line_no, "[timetravel] needs barrier, prefix_steps "
+                               "and prefix_digest");
     }
-
-    if (const campaign::SpecSection *script = file.section("script")) {
-        for (const campaign::SpecLine &l : script->lines) {
-            line_no = l.line_no;
-            if (l.isKeyValue() || l.tokens.empty())
-                return fail("expected '<kind> <target> <a> <b>' "
-                            "in [script]");
-            std::istringstream ls(l.raw);
-            std::string token;
-            ScenarioStep s;
-            if (!(ls >> token >> s.target >> s.a >> s.b))
-                return fail(
-                    "bad step line (want: <kind> <target> <a> <b>)");
-            if (!parseKind(token, s.kind))
-                return fail("unknown step kind '" + token + "'");
-            out.steps.push_back(s);
-        }
+    sc.has_timetravel = true;
+    sc.tt_barrier = spec.u32("timetravel", "barrier");
+    sc.tt_prefix_steps = spec.u32("timetravel", "prefix_steps");
+    const std::string &hex = digest->value;
+    const auto [end, ec] = std::from_chars(
+        hex.data(), hex.data() + hex.size(), sc.tt_prefix_digest, 16);
+    if (hex.size() != 16 || ec != std::errc() ||
+        end != hex.data() + hex.size()) {
+        spec.fail(digest->line_no, "bad prefix_digest (want 16 hex digits)");
     }
-
-    if (const campaign::SpecSection *tt = file.section("timetravel")) {
-        std::size_t digest_line = 0;
-        bool saw_barrier = false, saw_steps = false, saw_digest = false;
-        for (const campaign::SpecLine &l : tt->lines) {
-            line_no = l.line_no;
-            if (!l.isKeyValue())
-                return fail("expected key = value in [timetravel]");
-            std::istringstream ls(l.value);
-            if (l.key == "barrier") {
-                if (!(ls >> out.tt_barrier))
-                    return fail("bad barrier");
-                saw_barrier = true;
-            } else if (l.key == "prefix_steps") {
-                if (!(ls >> out.tt_prefix_steps))
-                    return fail("bad prefix_steps");
-                saw_steps = true;
-            } else if (l.key == "prefix_digest") {
-                if (!(ls >> std::hex >> out.tt_prefix_digest))
-                    return fail("bad prefix_digest (want 16 hex digits)");
-                digest_line = l.line_no;
-                saw_digest = true;
-            } else {
-                return fail("unknown [timetravel] key '" + l.key + "'");
-            }
-        }
-        line_no = tt->lines.empty() ? 0 : tt->lines.front().line_no;
-        if (!saw_barrier || !saw_steps || !saw_digest)
-            return fail("[timetravel] needs barrier, prefix_steps "
-                        "and prefix_digest");
-        out.has_timetravel = true;
-        if (out.tt_prefix_steps > out.steps.size()) {
-            std::ostringstream msg;
-            msg << "prefix_steps " << out.tt_prefix_steps
-                << " exceeds the " << out.steps.size()
-                << "-step script";
-            return fail(msg.str());
-        }
-        // The digest pins the snapshot image this suffix was shrunk
-        // against. A replay whose prefix drifted (hand edit, stale
-        // file) would silently prime a different image — reject it.
-        const std::uint64_t want = timeTravelPrefixDigest(out);
-        if (want != out.tt_prefix_digest) {
-            line_no = digest_line;
-            std::ostringstream msg;
-            char a[32], b[32];
-            std::snprintf(a, sizeof a, "%016llx",
-                          static_cast<unsigned long long>(
-                              out.tt_prefix_digest));
-            std::snprintf(b, sizeof b, "%016llx",
-                          static_cast<unsigned long long>(want));
-            msg << "prefix digest mismatch: file says " << a
-                << " but the replayed prefix hashes to " << b
-                << " (the [timetravel] snapshot reference does not "
-                   "cover this prefix)";
-            return fail(msg.str());
-        }
+    if (sc.tt_prefix_steps > sc.steps.size()) {
+        spec.fail(steps->line_no,
+                  "prefix_steps " + std::to_string(sc.tt_prefix_steps) +
+                      " exceeds the " + std::to_string(sc.steps.size()) +
+                      "-step script");
     }
-
-    if (!validateScenario(out, error))
-        return false;
-    error.clear();
-    return true;
+    // The digest pins the snapshot image this suffix was shrunk
+    // against. A replay whose prefix drifted (hand edit, stale file)
+    // would silently prime a different image — reject it.
+    const std::uint64_t want = timeTravelPrefixDigest(sc);
+    if (want != sc.tt_prefix_digest) {
+        spec.fail(digest->line_no,
+                  "prefix digest mismatch: file says " +
+                      hex16(sc.tt_prefix_digest) +
+                      " but the replayed prefix hashes to " + hex16(want) +
+                      " (the [timetravel] snapshot reference does not "
+                      "cover this prefix)");
+    }
 }
 
 } // namespace
 
-bool
-Scenario::parse(const std::string &text, Scenario &out, std::string &error)
+Scenario
+tenantsFromSpec(const CampaignSpec &spec)
 {
-    out = Scenario{};
-    out.accounts.clear();
-    out.services.clear();
-    std::istringstream in(text);
-    std::string line;
-    std::size_t line_no = 0;
-    bool saw_header = false;
+    const SpecSection *tenants = spec.file().section("tenants");
+    if (tenants == nullptr) {
+        throw campaign::SpecError(spec.file().path +
+                                  ":1: missing required section [tenants]");
+    }
+    for (const SpecLine &l : tenants->lines) {
+        if (l.isKeyValue() ||
+            (l.tokens[0] != "account" && l.tokens[0] != "service")) {
+            spec.fail(l.line_no, "expected 'account ...' or 'service ...' "
+                                 "in [tenants]");
+        }
+    }
 
-    const auto fail = [&](const std::string &why) {
-        std::ostringstream msg;
-        msg << "line " << line_no << ": " << why;
-        error = msg.str();
-        return false;
-    };
+    Scenario sc;
+    for (const SpecLine *l : spec.directives("tenants", "account")) {
+        if (l->tokens.size() != 3)
+            spec.fail(l->line_no, "expected: account <shard> <quota>");
+        ScenarioAccount a;
+        a.shard = static_cast<std::int32_t>(
+            spec.intArg(*l, 1, -1, INT32_MAX, "account shard"));
+        a.quota = u32Arg(spec, *l, 2, "account quota");
+        sc.accounts.push_back(a);
+    }
+    if (sc.accounts.empty())
+        spec.fail(tenants->line_no, "[tenants] declares no account");
 
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (line.empty() || line[0] == '#')
-            continue;
-        if (!saw_header) {
-            if (line != "eaao-scenario v1") {
-                // A well-formed header with a higher version means the
-                // file comes from a newer build: say so instead of a
-                // generic mismatch, so `fuzz_scenarios --replay` fails
-                // with an actionable message (and exits non-zero).
-                unsigned version = 0;
-                if (std::sscanf(line.c_str(), "eaao-scenario v%u",
-                                &version) == 1 &&
-                    version >= 2) {
-                    if (version == campaign::kSpecVersion)
-                        return parseV2(text, out, error);
-                    std::ostringstream msg;
-                    msg << "scenario version v" << version
-                        << " is newer than this binary supports (max v"
-                        << campaign::kSpecVersion
-                        << "); rebuild or regenerate the replay";
-                    return fail(msg.str());
-                }
-                return fail("expected header 'eaao-scenario v1' or "
-                            "'eaao-scenario v2'");
+    for (const SpecLine *l : spec.directives("tenants", "service")) {
+        if (l->tokens.size() != 4) {
+            spec.fail(l->line_no, "expected: service <account> <env 0/1> "
+                                  "<size 0..3>");
+        }
+        ScenarioService s;
+        s.account = u32Arg(spec, *l, 1, "service account");
+        if (s.account >= sc.accounts.size()) {
+            spec.fail(l->line_no,
+                      "service references account " +
+                          std::to_string(s.account) + " of " +
+                          std::to_string(sc.accounts.size()));
+        }
+        s.env = static_cast<std::uint8_t>(
+            spec.intArg(*l, 2, 0, 1, "service env"));
+        s.size = static_cast<std::uint8_t>(
+            spec.intArg(*l, 3, 0, 3, "service size"));
+        sc.services.push_back(s);
+    }
+    if (sc.services.empty())
+        spec.fail(tenants->line_no, "[tenants] declares no service");
+    return sc;
+}
+
+Scenario
+Scenario::fromSpec(const CampaignSpec &spec)
+{
+    const SpecSection *platform = keyedSection(
+        spec, "platform",
+        {"seed", "profile", "hosts", "isolate", "hot_burst_min", "fault"});
+    Scenario sc = tenantsFromSpec(spec);
+
+    if (spec.has("platform", "seed"))
+        sc.seed = spec.u64("platform", "seed");
+    if (spec.has("platform", "profile")) {
+        const std::string name = spec.str("platform", "profile");
+        const auto *hit = std::find(std::begin(kProfileNames),
+                                    std::end(kProfileNames), name);
+        if (hit == std::end(kProfileNames)) {
+            spec.fail(platform->find("profile")->line_no,
+                      "bad profile (want us-east1 / us-central1 / "
+                      "us-west1)");
+        }
+        sc.profile = static_cast<std::uint8_t>(hit - kProfileNames);
+    }
+    sc.host_count = spec.hosts();
+    const std::uint32_t isolate = spec.u32("platform", "isolate", 0);
+    if (isolate > 1) {
+        spec.fail(platform->find("isolate")->line_no,
+                  "'isolate' expects 0 or 1");
+    }
+    sc.isolate_accounts = isolate == 1;
+    sc.hot_burst_min = spec.u32("platform", "hot_burst_min", 0);
+    sc.fault = spec.u32("platform", "fault", 0);
+
+    if (const SpecSection *script = spec.file().section("script")) {
+        for (const SpecLine &l : script->lines) {
+            if (l.isKeyValue() || l.tokens.size() != 4) {
+                spec.fail(l.line_no,
+                          "expected '<kind> <target> <a> <b>' in [script]");
             }
-            saw_header = true;
-            continue;
-        }
-        std::istringstream ls(line);
-        std::string key;
-        ls >> key;
-        if (key == "seed") {
-            if (!(ls >> out.seed))
-                return fail("bad seed");
-        } else if (key == "profile") {
-            unsigned v = 0;
-            if (!(ls >> v) || v > 2)
-                return fail("bad profile (want 0..2)");
-            out.profile = static_cast<std::uint8_t>(v);
-        } else if (key == "hosts") {
-            if (!(ls >> out.host_count))
-                return fail("bad hosts");
-        } else if (key == "isolate") {
-            unsigned v = 0;
-            if (!(ls >> v) || v > 1)
-                return fail("bad isolate (want 0/1)");
-            out.isolate_accounts = v != 0;
-        } else if (key == "hot_burst_min") {
-            if (!(ls >> out.hot_burst_min))
-                return fail("bad hot_burst_min");
-        } else if (key == "fault") {
-            if (!(ls >> out.fault))
-                return fail("bad fault");
-        } else if (key == "account") {
-            ScenarioAccount a;
-            if (!(ls >> a.shard >> a.quota))
-                return fail("bad account line (want: account <shard> <quota>)");
-            out.accounts.push_back(a);
-        } else if (key == "service") {
-            ScenarioService s;
-            unsigned env = 0, size = 0;
-            if (!(ls >> s.account >> env >> size) || env > 1 || size > 3)
-                return fail("bad service line "
-                            "(want: service <account> <env 0/1> <size 0..3>)");
-            s.env = static_cast<std::uint8_t>(env);
-            s.size = static_cast<std::uint8_t>(size);
-            out.services.push_back(s);
-        } else if (key == "step") {
-            std::string token;
-            ScenarioStep s;
-            if (!(ls >> token >> s.target >> s.a >> s.b))
-                return fail("bad step line "
-                            "(want: step <kind> <target> <a> <b>)");
-            if (!parseKind(token, s.kind))
-                return fail("unknown step kind '" + token + "'");
-            out.steps.push_back(s);
-        } else {
-            return fail("unknown key '" + key + "'");
+            ScenarioStep st;
+            if (!parseKind(l.tokens[0], st.kind)) {
+                spec.fail(l.line_no,
+                          "unknown step kind '" + l.tokens[0] + "'");
+            }
+            st.target = u32Arg(spec, l, 1, "step target");
+            st.a = u32Arg(spec, l, 2, "step a");
+            st.b = u32Arg(spec, l, 3, "step b");
+            sc.steps.push_back(st);
         }
     }
-    if (!saw_header) {
-        error = "empty file (no header)";
-        return false;
-    }
-    if (!validateScenario(out, error))
-        return false;
-    error.clear();
-    return true;
+
+    readTimeTravel(spec, sc);
+    return sc;
 }
 
 Scenario

@@ -24,6 +24,10 @@
 
 #include "sim/rng.hpp"
 
+namespace eaao::campaign {
+class CampaignSpec;
+}
+
 namespace eaao::testkit {
 
 /** One tenant account of a scenario. */
@@ -100,7 +104,7 @@ struct Scenario
      * `eaao-snap` image at window barrier tt_barrier. The remaining
      * steps are the *suffix*, compiled strictly after the barrier and
      * replayable straight from the image (docs/testing.md). The digest
-     * pins the prefix: parse() recomputes it and rejects a replay
+     * pins the prefix: fromSpec() recomputes it and rejects a replay
      * whose prefix no longer matches the image the repro came from.
      * @{
      */
@@ -110,16 +114,30 @@ struct Scenario
     std::uint64_t tt_prefix_digest = 0; //!< FNV-1a 64 of the prefix replay
     /** @} */
 
-    /** Serialize to the replay-file text format (see docs/testing.md). */
+    /**
+     * Serialize to the replay-file format: a v2 `replay` campaign
+     * (docs/scenario-dsl.md) that fromSpec() reads back unchanged.
+     */
     std::string serialize() const;
 
     /**
-     * Parse a replay file produced by serialize(). On failure returns
-     * false and leaves @p error describing the offending line.
+     * The one reader of replay scenarios: [platform], [tenants] (via
+     * tenantsFromSpec), [script] and [timetravel] of @p spec. Other
+     * sections belong to the campaign layer and are ignored. Throws
+     * campaign::SpecError ("path:line: why") on the first bad line.
      */
-    static bool parse(const std::string &text, Scenario &out,
-                      std::string &error);
+    static Scenario fromSpec(const campaign::CampaignSpec &spec);
 };
+
+/**
+ * The tenant topology of @p spec's `[tenants]` section, the grammar
+ * replay files and the `loadgen` program share: `account <shard>
+ * <quota>` (shard -1 = platform default) and `service <account>
+ * <env 0/1> <size 0..3>` directives, at least one of each, every
+ * service naming a declared account. Only `accounts` and `services`
+ * of the result are set. Throws campaign::SpecError.
+ */
+Scenario tenantsFromSpec(const campaign::CampaignSpec &spec);
 
 /** Tuning of the scenario generator. */
 struct GeneratorOptions
@@ -151,7 +169,7 @@ Scenario generateScenario(std::uint64_t base_seed, std::uint64_t index,
                           const GeneratorOptions &opts = {});
 
 /**
- * The digest parse() checks a `[timetravel]` section against: FNV-1a
+ * The digest fromSpec() checks a `[timetravel]` section against: FNV-1a
  * 64 of the canonical serialization of @p sc restricted to its first
  * tt_prefix_steps steps, with the `[timetravel]` section itself
  * stripped — i.e. the replay file of the prefix the image was

@@ -50,10 +50,14 @@ TEST(SpecFileParse, HeaderErrors)
     EXPECT_NE(parseError("not a scenario\n")
                   .find("expected header 'eaao-scenario v2'"),
               std::string::npos);
-    // v1 gets a pointer at the right parser instead of a flat reject.
-    EXPECT_NE(parseError("eaao-scenario v1\nseed 1\n")
-                  .find("v1 is the flat replay format"),
-              std::string::npos);
+    // Only the exact current header reads: the retired flat v1 format,
+    // an older version and trailing text are all not a header.
+    for (const char *text : {"eaao-scenario v1\nseed 1\n",
+                             "eaao-scenario v0\n",
+                             "eaao-scenario v2 extra\n"}) {
+        EXPECT_EQ(parseError(text),
+                  "spec.scenario:1: expected header 'eaao-scenario v2'");
+    }
     // Future versions fail loudly with the supported maximum.
     EXPECT_NE(parseError("eaao-scenario v3\n")
                   .find("newer than this binary supports (max v2)"),
@@ -156,6 +160,80 @@ TEST(CampaignSpecAccess, MissingAndMalformedKeys)
     EXPECT_TRUE(spec.flag("outputs", "trigger_log", false) == false);
     EXPECT_EQ(spec.name(), "demo");
     EXPECT_EQ(spec.program(), "replay");
+}
+
+/** The message of the SpecError @p read throws ("" if none). */
+template <typename F>
+std::string
+accessError(F read)
+{
+    try {
+        read();
+    } catch (const SpecError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(CampaignSpecAccess, IntegersReadExactly)
+{
+    const CampaignSpec spec = CampaignSpec::parse(
+        std::string(kMinimal) + "[workload]\n"
+                                "above_2_53 = 9007199254740993\n"
+                                "corpus_seed = 1761579762988920409\n"
+                                "u64_max = 18446744073709551615\n"
+                                "u64_over = 18446744073709551616\n"
+                                "u32_max = 4294967295\n"
+                                "u32_over = 4294967296\n"
+                                "fraction = 1.5\n"
+                                "negative = -1\n"
+                                "exponent = 1e3\n",
+        "spec.scenario");
+    // No rounding through a double: 2^53 + 1 and a committed corpus
+    // seed read back as written.
+    EXPECT_EQ(spec.u64("workload", "above_2_53"), 9007199254740993ULL);
+    EXPECT_EQ(spec.u64("workload", "corpus_seed"), 1761579762988920409ULL);
+    EXPECT_EQ(spec.u64("workload", "u64_max"), 18446744073709551615ULL);
+    EXPECT_EQ(spec.u32("workload", "u32_max"), 4294967295u);
+
+    EXPECT_EQ(accessError([&] { spec.u64("workload", "u64_over"); }),
+              "spec.scenario:9: 'u64_over' expects an integer in "
+              "0..18446744073709551615, got '18446744073709551616'");
+    EXPECT_EQ(accessError([&] { spec.u32("workload", "u32_over"); }),
+              "spec.scenario:11: 'u32_over' expects an integer in "
+              "0..4294967295, got '4294967296'");
+    EXPECT_THROW(spec.u32("workload", "above_2_53"), SpecError);
+    for (const char *key : {"fraction", "negative", "exponent"}) {
+        EXPECT_THROW(spec.u32("workload", key), SpecError) << key;
+        EXPECT_THROW(spec.u64("workload", key), SpecError) << key;
+    }
+}
+
+TEST(CampaignSpecAccess, DirectiveIntegersAndHostCap)
+{
+    const CampaignSpec spec = CampaignSpec::parse(
+        std::string(kMinimal) + "[platform]\n"
+                                "hosts = 1000000\n"
+                                "[tenants]\n"
+                                "account -1 4.5\n",
+        "spec.scenario");
+    EXPECT_EQ(spec.hosts(), 1'000'000u);
+    const eaao::campaign::SpecLine &account =
+        *spec.directives("tenants", "account").at(0);
+    EXPECT_EQ(spec.intArg(account, 1, -1, 7, "shard"), -1);
+    EXPECT_EQ(accessError([&] { spec.intArg(account, 1, 0, 7, "shard"); }),
+              "spec.scenario:8: shard expects an integer in 0..7, got '-1'");
+    EXPECT_EQ(accessError([&] { spec.intArg(account, 2, 0, 9, "quota"); }),
+              "spec.scenario:8: quota expects an integer in 0..9, got '4.5'");
+    EXPECT_EQ(accessError([&] { spec.intArg(account, 3, 0, 9, "extra"); }),
+              "spec.scenario:8: missing extra");
+
+    const CampaignSpec huge = CampaignSpec::parse(
+        std::string(kMinimal) + "[platform]\nhosts = 4000000000\n",
+        "spec.scenario");
+    EXPECT_EQ(accessError([&] { huge.hosts(); }),
+              "spec.scenario:6: 'hosts' = 4000000000 exceeds the "
+              "1000000-host cap");
 }
 
 TEST(CampaignSpecAccess, QuotedTokensAndNotes)

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/spec.hpp"
 #include "faas/sharded.hpp"
 #include "testkit/invariants.hpp"
 #include "testkit/runner.hpp"
@@ -173,11 +174,11 @@ TEST(ShardedPlatform, WindowFaultsShrinkToTinyReplays)
         // The shrunk reproducer still fails, and round-trips.
         EXPECT_FALSE(
             testkit::checkInvariants(shrunk.scenario, opts).empty());
-        testkit::Scenario reparsed;
-        std::string error;
-        ASSERT_TRUE(testkit::Scenario::parse(shrunk.scenario.serialize(),
-                                             reparsed, error))
-            << error;
+        const std::string text = shrunk.scenario.serialize();
+        EXPECT_EQ(testkit::Scenario::fromSpec(
+                      campaign::CampaignSpec::parse(text))
+                      .serialize(),
+                  text);
     }
 }
 

@@ -11,12 +11,10 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
+#include "campaign/spec.hpp"
 #include "testkit/invariants.hpp"
-#include "testkit/runner.hpp"
 #include "testkit/scenario.hpp"
 #include "testkit/shrink.hpp"
 
@@ -43,15 +41,7 @@ corpusFiles()
 Scenario
 load(const std::filesystem::path &path)
 {
-    std::ifstream in(path);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    Scenario sc;
-    std::string error;
-    EXPECT_TRUE(Scenario::parse(buf.str(), sc, error))
-        << path << ": " << error;
-    return sc;
+    return Scenario::fromSpec(campaign::CampaignSpec::load(path.string()));
 }
 
 TEST(Corpus, HasCommittedScenarios)
@@ -114,31 +104,6 @@ TEST(Corpus, ShrinkIsFixedPointOnMutationMinima)
                                      << " no longer bites its minimum";
         const ShrinkResult shrunk = shrink(sc, still_fails);
         EXPECT_EQ(shrunk.scenario.serialize(), sc.serialize());
-    }
-}
-
-TEST(Corpus, V1FilesUpgradeToV2Losslessly)
-{
-    // The committed corpus stays in the legacy flat v1 format on
-    // purpose: it pins backward compatibility. Parsing a v1 file and
-    // re-serializing must produce an equivalent v2 campaign — same
-    // model, same replay behaviour.
-    const std::vector<std::filesystem::path> files = corpusFiles();
-    ASSERT_FALSE(files.empty());
-    for (const std::filesystem::path &path : files) {
-        SCOPED_TRACE(path.filename().string());
-        const Scenario v1 = load(path);
-        const std::string v2_text = v1.serialize();
-        EXPECT_NE(v2_text.find("eaao-scenario v2"), std::string::npos);
-
-        Scenario v2;
-        std::string error;
-        ASSERT_TRUE(Scenario::parse(v2_text, v2, error)) << error;
-        EXPECT_EQ(v2.serialize(), v2_text);
-        EXPECT_EQ(v2.seed, v1.seed);
-        EXPECT_EQ(v2.host_count, v1.host_count);
-        EXPECT_EQ(v2.steps.size(), v1.steps.size());
-        EXPECT_EQ(runScenario(v2).render(), runScenario(v1).render());
     }
 }
 

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "campaign/spec.hpp"
 #include "testkit/invariants.hpp"
 #include "testkit/runner.hpp"
 #include "testkit/scenario.hpp"
@@ -14,6 +17,32 @@
 
 namespace eaao::testkit {
 namespace {
+
+/** Read @p text as a replay file, as `fuzz_scenarios --replay` does. */
+Scenario
+readReplay(const std::string &text)
+{
+    return Scenario::fromSpec(
+        campaign::CampaignSpec::parse(text, "t.scenario"));
+}
+
+/** The one-line diagnostic reading @p text gives ("" if it reads). */
+std::string
+readError(const std::string &text)
+{
+    try {
+        readReplay(text);
+    } catch (const campaign::SpecError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** Header and [campaign] of a replay file: lines 1..4. */
+const std::string kHead = "eaao-scenario v2\n"
+                          "[campaign]\n"
+                          "name = t\n"
+                          "program = replay\n";
 
 TEST(ScenarioGen, DeterministicPerIndex)
 {
@@ -59,82 +88,93 @@ TEST(ScenarioSerialize, RoundTrip)
     for (std::uint64_t i = 0; i < 32; ++i) {
         const Scenario sc = generateScenario(99, i);
         const std::string text = sc.serialize();
-        Scenario parsed;
-        std::string error;
-        ASSERT_TRUE(Scenario::parse(text, parsed, error)) << error;
-        EXPECT_EQ(parsed.serialize(), text);
+        EXPECT_EQ(readReplay(text).serialize(), text);
     }
 }
 
 TEST(ScenarioSerialize, RejectsMalformedInput)
 {
-    Scenario sc;
-    std::string error;
-    EXPECT_FALSE(Scenario::parse("", sc, error));
-    EXPECT_FALSE(Scenario::parse("not-a-scenario\n", sc, error));
-    EXPECT_FALSE(Scenario::parse("eaao-scenario v1\nbogus 1\n", sc, error));
-    // A service referencing a missing account is structurally invalid.
-    EXPECT_FALSE(Scenario::parse("eaao-scenario v1\n"
-                                 "account -1 1000\n"
-                                 "service 5 0 1\n",
-                                 sc, error));
-    EXPECT_FALSE(error.empty());
-    // Comments and blank lines are fine.
-    EXPECT_TRUE(Scenario::parse("eaao-scenario v1\n"
-                                "# comment\n"
-                                "\n"
+    const std::string tenants = "[tenants]\n"
                                 "account -1 1000\n"
-                                "service 0 0 1\n"
-                                "step route 0 5 0\n",
-                                sc, error))
-        << error;
-    EXPECT_EQ(sc.steps.size(), 1u);
+                                "service 0 0 1\n";
+    const auto rejects = [](const std::string &text,
+                            const std::string &want) {
+        const std::string error = readError(text);
+        EXPECT_NE(error.find(want), std::string::npos)
+            << "want '" << want << "', got '" << error << "'";
+    };
+    rejects("", "t.scenario:1: empty file");
+    rejects("not-a-scenario\n", "t.scenario:1: expected header");
+    // The retired flat v1 format is not a header either.
+    rejects("eaao-scenario v1\nseed 1\n",
+            "t.scenario:1: expected header 'eaao-scenario v2'");
+    rejects(kHead + "[platform]\nbogus = 1\n" + tenants,
+            "t.scenario:6: unknown [platform] key 'bogus'");
+    rejects(kHead + "[platform]\nhosts = 1000001\n" + tenants,
+            "t.scenario:6: 'hosts' = 1000001 exceeds the 1000000-host cap");
+    rejects(kHead + "[platform]\nisolate = 2\n" + tenants,
+            "t.scenario:6: 'isolate' expects 0 or 1");
+    rejects(kHead + "[tenants]\naccount -1 1000\n",
+            "t.scenario:5: [tenants] declares no service");
+    rejects(kHead + "[tenants]\naccount -1 4.5\nservice 0 0 1\n",
+            "t.scenario:6: account quota expects an integer");
+    // A service referencing a missing account is structurally invalid.
+    rejects(kHead + "[tenants]\naccount -1 1000\nservice 5 0 1\n",
+            "t.scenario:7: service references account 5 of 1");
+    rejects(kHead + "[tenants]\naccount -1 1000\nservice 0 2 1\n",
+            "t.scenario:7: service env expects an integer in 0..1");
+    rejects(kHead + "[tenants]\naccount -1 1000\nservice 0 0 4\n",
+            "t.scenario:7: service size expects an integer in 0..3");
+    rejects(kHead + tenants + "[script]\nhop 0 5 0\n",
+            "t.scenario:9: unknown step kind 'hop'");
+    rejects(kHead + tenants + "[script]\nroute 0 5\n",
+            "t.scenario:9: expected '<kind> <target> <a> <b>'");
+
+    // Comments and blank lines are fine.
+    const Scenario sc =
+        readReplay("# comment\n" + kHead + "\n" + tenants +
+                   "# another\n[script]\nroute 0 5 0\n");
+    ASSERT_EQ(sc.steps.size(), 1u);
     EXPECT_EQ(sc.steps[0].kind, ScenarioStep::Kind::Route);
 }
 
 TEST(ScenarioSerialize, RejectsNewerVersions)
 {
     // A replay from a future format must fail loudly, not misparse.
-    Scenario sc;
-    std::string error;
-    EXPECT_FALSE(Scenario::parse("eaao-scenario v3\n"
-                                 "[campaign]\n"
-                                 "name = x\n",
-                                 sc, error));
-    EXPECT_NE(error.find("newer"), std::string::npos) << error;
-    EXPECT_FALSE(Scenario::parse("eaao-scenario v99\n", sc, error));
-    EXPECT_NE(error.find("newer"), std::string::npos) << error;
+    EXPECT_NE(readError("eaao-scenario v3\n"
+                        "[campaign]\n"
+                        "name = x\n")
+                  .find("newer"),
+              std::string::npos);
+    EXPECT_NE(readError("eaao-scenario v99\n").find("newer"),
+              std::string::npos);
 }
 
 TEST(ScenarioSerialize, ParsesV2Sections)
 {
     // serialize() emits the sectioned v2 format; a hand-written v2
     // file with extra (non-replay) sections parses to the same model.
-    Scenario sc;
-    std::string error;
-    ASSERT_TRUE(Scenario::parse("eaao-scenario v2\n"
-                                "[campaign]\n"
-                                "name = demo\n"
-                                "program = replay\n"
-                                "[platform]\n"
-                                "seed = 7\n"
-                                "profile = us-east1\n"
-                                "hosts = 550\n"
-                                "[tenants]\n"
-                                "account -1 1000\n"
-                                "service 0 0 1\n"
-                                "[script]\n"
-                                "route 0 5 0\n",
-                                sc, error))
-        << error;
-    EXPECT_EQ(sc.seed, 7u);
+    // Seeds above 2^53 read back exactly.
+    const Scenario sc =
+        readReplay(kHead + "title = demo\n"
+                           "[platform]\n"
+                           "seed = 18437146304806779853\n"
+                           "profile = us-west1\n"
+                           "hosts = 550\n"
+                           "[tenants]\n"
+                           "account -1 1000\n"
+                           "service 0 0 1\n"
+                           "[script]\n"
+                           "route 0 5 0\n"
+                           "[outputs]\n"
+                           "note = ignored here\n");
+    EXPECT_EQ(sc.seed, 18437146304806779853ULL);
+    EXPECT_EQ(sc.profile, 2u);
     EXPECT_EQ(sc.host_count, 550u);
     ASSERT_EQ(sc.steps.size(), 1u);
     EXPECT_EQ(sc.steps[0].kind, ScenarioStep::Kind::Route);
     // And the canonical serialization round-trips.
-    Scenario again;
-    ASSERT_TRUE(Scenario::parse(sc.serialize(), again, error)) << error;
-    EXPECT_EQ(again.serialize(), sc.serialize());
+    EXPECT_EQ(readReplay(sc.serialize()).serialize(), sc.serialize());
 }
 
 TEST(ScenarioGen, ShardAwareTopology)
@@ -256,11 +296,7 @@ TEST(Shrink, MinimizesInjectedFaultScenario)
     EXPECT_GT(result.attempts, 0u);
 
     // The minimized scenario still round-trips through its replay file.
-    Scenario parsed;
-    std::string error;
-    ASSERT_TRUE(Scenario::parse(result.scenario.serialize(), parsed, error))
-        << error;
-    EXPECT_TRUE(still_fails(parsed));
+    EXPECT_TRUE(still_fails(readReplay(result.scenario.serialize())));
 }
 
 TEST(Shrink, PreservesPassingPredicateInput)

@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "campaign/spec.hpp"
 #include "testkit/invariants.hpp"
 #include "testkit/runner.hpp"
 #include "testkit/scenario.hpp"
@@ -22,6 +24,26 @@
 
 namespace eaao::testkit {
 namespace {
+
+/** Read @p text as a replay file, as `fuzz_scenarios --replay` does. */
+Scenario
+readReplay(const std::string &text)
+{
+    return Scenario::fromSpec(
+        campaign::CampaignSpec::parse(text, "tt.scenario"));
+}
+
+/** The one-line diagnostic reading @p text gives ("" if it reads). */
+std::string
+readError(const std::string &text)
+{
+    try {
+        readReplay(text);
+    } catch (const campaign::SpecError &e) {
+        return e.what();
+    }
+    return "";
+}
 
 /** A prefix with real traffic: generated, so it exercises the DSL. */
 Scenario
@@ -80,9 +102,7 @@ TEST(TimeTravel, ComposeSerializeParseRoundTrips)
 
     const std::string text = sc.serialize();
     EXPECT_NE(text.find("[timetravel]"), std::string::npos);
-    Scenario parsed;
-    std::string error;
-    ASSERT_TRUE(Scenario::parse(text, parsed, error)) << error;
+    const Scenario parsed = readReplay(text);
     EXPECT_TRUE(parsed.has_timetravel);
     EXPECT_EQ(parsed.tt_barrier, sc.tt_barrier);
     EXPECT_EQ(parsed.tt_prefix_steps, sc.tt_prefix_steps);
@@ -100,13 +120,17 @@ TEST(TimeTravel, ParseRejectsDigestMismatch)
     char &nibble = text[pos + std::string("prefix_digest = ").size()];
     nibble = nibble == '0' ? '1' : '0';
 
-    Scenario parsed;
-    std::string error;
-    EXPECT_FALSE(Scenario::parse(text, parsed, error));
+    const std::string error = readError(text);
     EXPECT_NE(error.find("prefix digest mismatch"), std::string::npos)
         << error;
-    // The error names the digest line so a `path:line:` report works.
-    EXPECT_NE(error.find("line "), std::string::npos) << error;
+    // The error names the digest line of the file.
+    const auto digest_line = 1 + std::count(text.begin(),
+                                            text.begin() + pos, '\n');
+    EXPECT_EQ(error.rfind("tt.scenario:" + std::to_string(digest_line) +
+                              ": ",
+                          0),
+              0u)
+        << error;
 }
 
 TEST(TimeTravel, ParseRejectsPrefixStepsBeyondScript)
@@ -117,10 +141,9 @@ TEST(TimeTravel, ParseRejectsPrefixStepsBeyondScript)
     ASSERT_NE(pos, std::string::npos);
     text.replace(pos, std::string("prefix_steps = 1").size(),
                  "prefix_steps = 9");
-    Scenario parsed;
-    std::string error;
-    EXPECT_FALSE(Scenario::parse(text, parsed, error));
-    EXPECT_NE(error.find("prefix_steps"), std::string::npos) << error;
+    const std::string error = readError(text);
+    EXPECT_NE(error.find("prefix_steps 9 exceeds"), std::string::npos)
+        << error;
 }
 
 TEST(TimeTravel, ParseRejectsIncompleteSection)
@@ -130,9 +153,7 @@ TEST(TimeTravel, ParseRejectsIncompleteSection)
     const std::size_t pos = text.find("prefix_digest = ");
     ASSERT_NE(pos, std::string::npos);
     text.erase(pos, text.find('\n', pos) - pos + 1);
-    Scenario parsed;
-    std::string error;
-    EXPECT_FALSE(Scenario::parse(text, parsed, error));
+    const std::string error = readError(text);
     EXPECT_NE(error.find("[timetravel] needs"), std::string::npos)
         << error;
 }
@@ -323,9 +344,8 @@ TEST(TimeTravel, SuffixOnlyShrinkPinsPrefix)
 
     // The minimized repro still round-trips through its replay file
     // (the digest the parse gate recomputes is still the prefix's).
-    Scenario parsed;
-    ASSERT_TRUE(Scenario::parse(shrunk.scenario.serialize(), parsed, error))
-        << error;
+    EXPECT_EQ(readReplay(shrunk.scenario.serialize()).serialize(),
+              shrunk.scenario.serialize());
 }
 
 } // namespace

@@ -43,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/spec.hpp"
 #include "exp/trial_runner.hpp"
 #include "testkit/invariants.hpp"
 #include "testkit/scenario.hpp"
@@ -161,19 +162,12 @@ describe(const std::vector<testkit::Violation> &violations)
 int
 replay(const Args &args)
 {
-    std::ifstream in(args.replay_path);
-    if (!in) {
-        std::fprintf(stderr, "fuzz_scenarios: cannot open %s\n",
-                     args.replay_path.c_str());
-        return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
     testkit::Scenario sc;
-    std::string error;
-    if (!testkit::Scenario::parse(buf.str(), sc, error)) {
-        std::fprintf(stderr, "fuzz_scenarios: parse error in %s: %s\n",
-                     args.replay_path.c_str(), error.c_str());
+    try {
+        sc = testkit::Scenario::fromSpec(
+            campaign::CampaignSpec::load(args.replay_path));
+    } catch (const campaign::SpecError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
         return 2;
     }
     if (args.inject_fault != 0)
