@@ -234,7 +234,15 @@ EAAO_CAMPAIGN_PROGRAM(loadgen)
             obs::histogramQuantile(slo.cold_wait_s, 0.99));
         ctx.triggers.evaluateAt(t_s);
     }
-    support::maybeWriteBenchJson(ctx.argc, ctx.argv, timer.stop());
+    // The lanes' queues outlive this record, so the process-wide
+    // counter (fed by queue destructors) has not seen their events yet.
+    support::BenchTimingRecord record = timer.stop();
+    record.events_processed = platform.totals().events_processed;
+    record.events_per_s =
+        record.wall_s > 0.0
+            ? static_cast<double>(record.events_processed) / record.wall_s
+            : 0.0;
+    support::maybeWriteBenchJson(ctx.argc, ctx.argv, record);
 
     // -- Report. -----------------------------------------------------
     core::TextTable decl;

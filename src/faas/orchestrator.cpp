@@ -220,7 +220,7 @@ Orchestrator::disconnectAll(ServiceId service)
             continue;
         }
         if (!cfg_.reference_scan)
-            routing_.remove(svc.id, inst.in_flight, inst.route_seq);
+            routing_.remove(svc.id, inst.route_seq);
         settleActiveTime(inst);
         inst.state = InstanceState::Idle;
         inst.state_since = eq_.now();
@@ -314,12 +314,9 @@ InstanceId
 Orchestrator::occupy(ServiceRecord &svc, InstanceRecord &target,
                      sim::Duration service_time)
 {
-    const std::uint32_t old_in_flight = target.in_flight;
     ++target.in_flight;
-    if (!cfg_.reference_scan) {
-        routing_.reindex(svc.id, target.id, target.route_seq,
-                         old_in_flight, target.in_flight);
-    }
+    if (!cfg_.reference_scan)
+        routing_.reindex(svc.id, target.route_seq, target.in_flight);
     ++svc.requests_served;
     EAAO_OBS_COUNT(c_requests_, 1);
     const InstanceId id = target.id;
@@ -497,13 +494,11 @@ Orchestrator::completeRequest(InstanceId id)
     if (inst.state == InstanceState::Terminated)
         return; // instance died with the request in flight
     EAAO_ASSERT(inst.in_flight > 0, "completion without request");
-    const std::uint32_t old_in_flight = inst.in_flight;
     --inst.in_flight;
     if (inst.in_flight > 0 || inst.state != InstanceState::Active) {
         if (!cfg_.reference_scan &&
             inst.state == InstanceState::Active) {
-            routing_.reindex(inst.service, id, inst.route_seq,
-                             old_in_flight, inst.in_flight);
+            routing_.reindex(inst.service, inst.route_seq, inst.in_flight);
         }
         if (!admission_[inst.service].q.empty())
             maybeDispatchQueued(services_[inst.service]);
@@ -516,7 +511,7 @@ Orchestrator::completeRequest(InstanceId id)
     EAAO_ASSERT(it != act.end(), "active instance missing from list");
     act.erase(it);
     if (!cfg_.reference_scan)
-        routing_.remove(inst.service, old_in_flight, inst.route_seq);
+        routing_.remove(inst.service, inst.route_seq);
     settleActiveTime(inst);
     inst.state = InstanceState::Idle;
     inst.state_since = eq_.now();
@@ -570,7 +565,7 @@ Orchestrator::restartInstance(InstanceId id)
         auto &act = svc.active;
         act.erase(std::find(act.begin(), act.end(), fresh));
         if (!cfg_.reference_scan)
-            routing_.remove(svc.id, inst.in_flight, inst.route_seq);
+            routing_.remove(svc.id, inst.route_seq);
         settleActiveTime(inst);
         inst.state = InstanceState::Idle;
         inst.state_since = eq_.now();
@@ -956,7 +951,7 @@ Orchestrator::terminate(InstanceRecord &inst)
         if (it != act.end()) {
             act.erase(it);
             if (!cfg_.reference_scan)
-                routing_.remove(svc.id, inst.in_flight, inst.route_seq);
+                routing_.remove(svc.id, inst.route_seq);
         }
     }
     // Callers handling Idle instances remove them from svc.idle.
@@ -1191,7 +1186,8 @@ Orchestrator::rebuildDerivedState()
     }
     acct_active_.assign(accounts_.size(), {});
     // Keep the restored activation counter; re-key every Active
-    // instance with its original route_seq.
+    // instance with its original route_seq (finishRestore() puts them
+    // back in seq order: instances_ is id-ordered, not seq-ordered).
     routing_.resetForRestore(routing_.nextSeq());
     for (const InstanceRecord &inst : instances_) {
         if (inst.state == InstanceState::Terminated)
@@ -1208,6 +1204,7 @@ Orchestrator::rebuildDerivedState()
             }
         }
     }
+    routing_.finishRestore();
     base_index_.clear();
     base_index_.resize(accounts_.size());
     if (!cfg_.reference_scan) {

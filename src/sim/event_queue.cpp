@@ -94,14 +94,8 @@ void
 EventQueue::flushStaging()
 {
     for (const HeapEntry &e : staging_) {
-        if (!entryLive(e))
-            continue;
-        // Near-future entries park in the wheel; due or far-future
-        // ones go straight to the heap (insert() refuses both).
-        if (use_wheel_
-            && wheel_.insert(WheelEntry{e.when, e.seq, e.slot, e.gen}))
-            continue;
-        heapPush(e);
+        if (entryLive(e))
+            heapPush(e);
     }
     staging_.clear();
 }
@@ -166,7 +160,13 @@ EventQueue::scheduleAt(SimTime when, EventTag tag, Callback cb)
     slot.live = true;
     slot.tag = tag;
     slot.cb = std::move(cb);
-    staging_.push_back(HeapEntry{when, next_seq_++, idx, slot.gen});
+    const std::uint64_t seq = next_seq_++;
+    // Near-future entries park in the wheel right away: the frontier
+    // only moves in syncWheel(), after the next flushStaging(), so this
+    // is the bucket a flush would pick. Due or far-future entries are
+    // refused by insert() and stage for the heap.
+    if (!use_wheel_ || !wheel_.insert(WheelEntry{when, seq, idx, slot.gen}))
+        staging_.push_back(HeapEntry{when, seq, idx, slot.gen});
     ++live_;
     ++scheduled_;
     return packId(idx, slot.gen);

@@ -24,13 +24,15 @@
  * docs/event-kernel.md.
  *
  * Near-future entries take a hierarchical timing-wheel fast path
- * (timing_wheel.hpp, docs/load-engine.md): the flush routes them into
- * ~1 ms tick buckets instead of the heap, and buckets are dumped back
- * into the heap only when their tick is reached — so under open-loop
- * arrival storms the heap stays one tick deep and schedule/pop is
- * O(1) amortized. The heap still totally orders everything it holds
- * by (when, seq), so the pop sequence is byte-identical to the
- * pure-heap kernel (constructible with use_wheel = false).
+ * (timing_wheel.hpp, docs/load-engine.md): scheduleAt() parks them
+ * straight into ~8.4 ms tick buckets, so the staging buffer holds only
+ * heap-bound entries (due now or beyond the wheel's ~39 h span), and
+ * buckets are dumped into the heap only when their tick is reached —
+ * so under open-loop arrival storms the heap stays one tick deep and
+ * schedule/pop is O(1) amortized. The heap still totally orders
+ * everything it holds by (when, seq), so the pop sequence is
+ * byte-identical to the pure-heap kernel (constructible with
+ * use_wheel = false).
  */
 
 #ifndef EAAO_SIM_EVENT_QUEUE_HPP
@@ -322,11 +324,9 @@ class EventQueue
     HeapEntry heapPop();
 
     /**
-     * Move still-live staged entries into the heap. Entries whose
-     * event was cancelled while staged are dropped here without ever
-     * being sifted — in the reap pattern (schedule a timeout, almost
-     * always cancel it before it fires) most entries die in staging
-     * and the heap only ever sees the survivors.
+     * Move still-live staged (heap-bound) entries into the heap.
+     * Entries whose event was cancelled while staged are dropped here
+     * without ever being sifted.
      */
     void flushStaging();
 
@@ -356,7 +356,7 @@ class EventQueue
     std::size_t live_ = 0;
     std::vector<Slot> slots_;
     std::vector<HeapEntry> heap_;      //!< 4-ary min-heap
-    std::vector<HeapEntry> staging_;   //!< scheduled, not yet in heap_
+    std::vector<HeapEntry> staging_;   //!< heap-bound, not yet in heap_
     std::vector<std::uint32_t> free_;  //!< recycled slot indices
     TimingWheel wheel_;                //!< near-future parking lot
     bool use_wheel_ = true;

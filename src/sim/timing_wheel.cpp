@@ -6,30 +6,13 @@
 
 #include "sim/timing_wheel.hpp"
 
+#include <bit>
 #include <cassert>
 #include <limits>
 
+#include "support/logging.hpp"
+
 namespace eaao::sim {
-
-namespace {
-
-/** Portable count-trailing-zeros for a non-zero mask. */
-unsigned
-ctz64(std::uint64_t v)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    return static_cast<unsigned>(__builtin_ctzll(v));
-#else
-    unsigned n = 0;
-    while (!(v & 1)) {
-        v >>= 1;
-        ++n;
-    }
-    return n;
-#endif
-}
-
-} // namespace
 
 bool
 TimingWheel::insert(const WheelEntry &e)
@@ -58,43 +41,29 @@ TimingWheel::nextActionTick() const
     assert(count_ > 0);
     std::int64_t best = std::numeric_limits<std::int64_t>::max();
 
-    // Level 0 buckets hold entries of the current 64-tick span
-    // [frontier, frontier + 63]; the slot's distance ahead of the
-    // frontier's own slot recovers the absolute due tick.
-    {
-        const std::uint32_t base = frontier_ & kSlotMask;
-        std::uint64_t m = occ_[0];
-        while (m) {
-            const std::uint32_t s = ctz64(m);
-            m &= m - 1;
-            const std::int64_t t =
-                frontier_
-                + static_cast<std::int64_t>((s - base) & kSlotMask);
-            if (t < best)
-                best = t;
-        }
-    }
-
-    // A level >= 1 bucket flushes when the frontier reaches the start
-    // of the 64^level-tick window its slot addresses: the first
-    // window index >= frontier's that is congruent to the slot.
-    for (unsigned level = 1; level < kLevels; ++level) {
-        std::uint64_t m = occ_[level];
+    // A level's bucket acts when the frontier reaches the start of the
+    // 64^level-tick window its slot addresses (at level 0 that is the
+    // entries' due tick). Rotating the occupancy word by the
+    // frontier's own slot makes bit d the slot d windows ahead, so the
+    // lowest set bit is the nearest occupied window.
+    for (unsigned level = 0; level < kLevels; ++level) {
+        const std::uint64_t m = occ_[level];
         if (!m)
             continue;
         const unsigned shift = kSlotBits * level;
         const std::int64_t base = frontier_ >> shift;
-        while (m) {
-            const std::uint32_t s = ctz64(m);
-            m &= m - 1;
-            std::int64_t widx =
-                base + static_cast<std::int64_t>((s - base) & kSlotMask);
-            std::int64_t t = widx << shift;
-            if (t < frontier_) // this window already began: next lap
-                t = (widx + kSlots) << shift;
-            if (t < best)
-                best = t;
-        }
+        const std::uint64_t r =
+            std::rotr(m, static_cast<int>(base & kSlotMask));
+        std::int64_t widx;
+        if ((r & 1) && (frontier_ & ((std::int64_t(1) << shift) - 1)) == 0)
+            widx = base; // own window starts at the frontier: flush now
+        else if (r & ~std::uint64_t(1))
+            widx = base + std::countr_zero(r & ~std::uint64_t(1));
+        else
+            widx = base + kSlots; // own slot, window already began: next lap
+        const std::int64_t t = widx << shift;
+        if (t < best)
+            best = t;
     }
     return best;
 }
@@ -115,7 +84,8 @@ void
 TimingWheel::restoreEntry(const WheelEntry &e, std::uint8_t level,
                           std::uint8_t wslot)
 {
-    assert(level < kLevels && wslot < kSlots);
+    EAAO_ASSERT(level < kLevels && wslot < kSlots, "wheel bucket (", +level,
+                ", ", +wslot, ") out of range");
     buckets_[level][wslot].push_back(e);
     occ_[level] |= std::uint64_t(1) << wslot;
     ++count_;

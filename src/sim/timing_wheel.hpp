@@ -4,7 +4,7 @@
  * kernel (docs/load-engine.md).
  *
  * Four levels of 64 slots park entries by due tick (one tick =
- * 2^20 ns ~ 1.05 ms), covering ~67 ms / ~4.3 s / ~4.6 min / ~4.9 h of
+ * 2^23 ns ~ 8.4 ms), covering ~537 ms / ~34 s / ~37 min / ~39 h of
  * horizon; anything further stays in the caller's heap. The wheel is
  * a *parking lot*, not a priority queue: advanceTo() dumps every
  * bucket due at or before a target tick into a caller-supplied sink
@@ -19,10 +19,14 @@
  * addressed by that level's 6-bit field of the absolute tick. When the
  * frontier crosses a level's window boundary the matching bucket
  * cascades: each drained entry re-inserts against the new frontier,
- * landing one level down (or in the sink when due). A non-empty
- * bucket is never skipped — nextActionTick() computes the earliest
- * tick at which any bucket must flush, so advancing across a quiet
- * hour costs a few bitmap scans, not a loop over ticks.
+ * landing one level down (or in the sink when due). The tick is sized
+ * so most entries park at their final level: a completion ~100 ms out
+ * sits in level 0, and a window's arrivals (at most 30 s ahead) sit in
+ * level 1 and cascade once. A non-empty bucket is never skipped —
+ * nextActionTick() finds the earliest tick at which any bucket must
+ * flush with one rotate and one count-trailing-zeros per level, so
+ * advancing across a quiet hour costs O(levels), not a loop over
+ * ticks or over occupied slots.
  */
 
 #ifndef EAAO_SIM_TIMING_WHEEL_HPP
@@ -47,7 +51,7 @@ struct WheelEntry
 class TimingWheel
 {
   public:
-    static constexpr unsigned kTickBits = 20; //!< 2^20 ns ~ 1.05 ms
+    static constexpr unsigned kTickBits = 23; //!< 2^23 ns ~ 8.4 ms
     static constexpr unsigned kSlotBits = 6;
     static constexpr unsigned kLevels = 4;
     static constexpr std::uint32_t kSlots = 1u << kSlotBits;
@@ -71,7 +75,7 @@ class TimingWheel
     /**
      * Park @p e. Returns false — caller keeps the entry in its heap —
      * when the entry is due (tick <= frontier) or beyond level 3's
-     * span (~4.9 h of ticks).
+     * span (~39 h of ticks).
      */
     bool insert(const WheelEntry &e);
 
@@ -121,7 +125,9 @@ class TimingWheel
     /**
      * Re-park @p e at an explicit (level, slot) position — snapshot
      * restore only, paired with forEach() so a capture/restore
-     * round-trip reproduces bucket placement bit-exactly.
+     * round-trip reproduces bucket placement bit-exactly. Panics unless
+     * level < kLevels and wslot < kSlots; snapshot decoders refuse
+     * such images before they get here.
      */
     void restoreEntry(const WheelEntry &e, std::uint8_t level,
                       std::uint8_t wslot);
@@ -144,6 +150,7 @@ class TimingWheel
     /**
      * Earliest tick at which a bucket must act: an L0 dump at its
      * entries' due tick, or a level>=1 flush at its window start.
+     * O(levels): one rotate and one ctz per occupied level.
      * Precondition: count_ > 0.
      */
     std::int64_t nextActionTick() const;

@@ -1,6 +1,6 @@
 /**
  * @file
- * eaao-snap v1 container encode/decode (see format.hpp for layout).
+ * eaao-snap container encode/decode (see format.hpp for layout).
  */
 
 #include "snap/format.hpp"
@@ -252,16 +252,17 @@ SnapshotReader::parse(const std::vector<std::uint8_t> &image,
         return false;
     }
     const std::uint32_t version = headerU32(image.data() + 8);
-    if (version > kFormatVersion) {
-        std::ostringstream msg;
-        msg << "snapshot format v" << version
-            << " is newer than this binary supports (max v" << kFormatVersion
-            << "); re-capture with this build or upgrade";
-        error = msg.str();
-        return false;
-    }
     if (version == 0) {
         error = "corrupt snapshot: format version 0";
+        return false;
+    }
+    if (version != kFormatVersion) {
+        std::ostringstream msg;
+        msg << "snapshot format v" << version << " is "
+            << (version > kFormatVersion ? "newer" : "older")
+            << " than this binary supports (only v" << kFormatVersion
+            << "); re-capture with this build";
+        error = msg.str();
         return false;
     }
     const std::uint32_t count = headerU32(image.data() + 12);

@@ -1,23 +1,22 @@
 /**
  * @file
- * The eaao-snap v1 container format: a sectioned, checksummed binary
+ * The eaao-snap container format: a sectioned, checksummed binary
  * envelope for deterministic checkpoint images.
  *
  * Layout (all integers little-endian, fixed width):
  *
  *     offset  size  field
  *     0       8     magic "EAAOSNAP"
- *     8       4     u32 format version (1)
+ *     8       4     u32 format version (kFormatVersion)
  *     12      4     u32 section count
  *     16      8     u64 section-table offset
  *     24      ...   section payloads, back to back
  *     table   n*32  per section: u32 id, u32 reserved(0),
  *                   u64 offset, u64 size, u64 FNV-1a checksum
  *
- * Readers reject a bad magic, a version newer than they support
- * (mirroring the campaign reader's forward-version rejection), a section
- * table that points outside the image, and any payload whose FNV-1a
- * 64-bit checksum disagrees with the table — each with a one-line
+ * Readers reject a bad magic, any version but kFormatVersion, a
+ * section table that points outside the image, and any payload whose
+ * FNV-1a 64-bit checksum disagrees with the table — each with a one-line
  * error a driver can print before exiting 2. Doubles are serialized
  * as their IEEE-754 bit patterns, so round-trips are bit-exact.
  *
@@ -39,12 +38,14 @@ namespace eaao::snap {
 inline constexpr char kMagic[8] = {'E', 'A', 'A', 'O', 'S', 'N', 'A', 'P'};
 
 /**
- * Highest format version this binary reads and writes. Version 2
- * added the event queue's timing-wheel state (frontier + parked
- * entries with bucket placement) and the lanes' open-loop arrival
- * cursors to the per-lane sections.
+ * The one format version this binary reads and writes; any other is
+ * refused. Version 2 added the event queue's timing-wheel state
+ * (frontier + parked entries with bucket placement) and the lanes'
+ * open-loop arrival cursors to the per-lane sections. Version 3 keeps
+ * the layout but moves the wheel tick from 2^20 to 2^23 ns, so a v2
+ * image's (level, slot) placements would land in the wrong buckets.
  */
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /** Section identifiers (id 0x100 + lane for per-lane sections). */
 inline constexpr std::uint32_t kSectionMeta = 1;
@@ -121,13 +122,11 @@ class SectionWriter
     void
     putBits(std::uint64_t v, unsigned bytes)
     {
-        // Staged through a local array so the append is one
-        // bounds-checked insert, not `bytes` push_backs; the shift
-        // loop compiles to a single store on little-endian hosts.
-        std::uint8_t tmp[8];
+        // One resize, not `bytes` push_backs; the shift loop compiles
+        // to a single store on little-endian hosts.
+        std::uint8_t *p = grow(bytes);
         for (unsigned i = 0; i < bytes; ++i)
-            tmp[i] = static_cast<std::uint8_t>(v >> (8 * i));
-        buf_.insert(buf_.end(), tmp, tmp + bytes);
+            p[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
 
     std::vector<std::uint8_t> buf_;

@@ -321,6 +321,8 @@ getOp(SectionReader &in, ShardOp &op)
     return true;
 }
 
+} // namespace
+
 void
 putEventQueueImage(SectionWriter &out, const sim::EventQueueImage &img)
 {
@@ -406,6 +408,78 @@ getEventQueueImage(SectionReader &in, sim::EventQueueImage &img)
             !in.getU8(w.wslot))
             return false;
         img.wheel.push_back(w);
+    }
+    return true;
+}
+
+namespace {
+
+/**
+ * Refuse a decoded event-queue image the kernel could not run
+ * safely: heap, staging, wheel or free-list slot indices past the
+ * slab, wheel placements outside the 4 x 64 buckets, a free-list slot
+ * that is live or listed twice, a live slot no entry schedules, a live
+ * entry due before the clock, or a live slot whose tag names no
+ * orchestrator callback family or an @p instances / @p services index
+ * that was not restored.
+ */
+bool
+checkEventQueueImage(const sim::EventQueueImage &img, std::size_t instances,
+                     std::size_t services, std::string &error)
+{
+    const auto fail = [&error](const char *what) {
+        error = std::string("corrupt snapshot: ") + what;
+        return false;
+    };
+    const std::size_t n = img.slots.size();
+    std::vector<std::uint8_t> scheduled(n, 0);
+    const auto entry = [&](std::int64_t when_ns, std::uint32_t slot,
+                           std::uint32_t gen) {
+        if (slot >= n)
+            return false;
+        const sim::EventQueueImage::SlotImage &s = img.slots[slot];
+        if (s.live && s.gen == gen) {
+            if (when_ns < img.now_ns)
+                return false;
+            scheduled[slot] = 1;
+        }
+        return true;
+    };
+    for (const auto *entries : {&img.heap, &img.staging}) {
+        for (const sim::EventQueueImage::EntryImage &e : *entries) {
+            if (!entry(e.when_ns, e.slot, e.gen))
+                return fail("event entry slot out of range or due "
+                            "before the clock");
+        }
+    }
+    for (const sim::EventQueueImage::WheelEntryImage &w : img.wheel) {
+        if (w.level >= sim::TimingWheel::kLevels ||
+            w.wslot >= sim::TimingWheel::kSlots)
+            return fail("wheel entry bucket out of range");
+        if (!entry(w.when_ns, w.slot, w.gen))
+            return fail("event entry slot out of range or due before "
+                        "the clock");
+    }
+    std::vector<std::uint8_t> freed(n, 0);
+    for (const std::uint32_t slot : img.free_list) {
+        if (slot >= n || img.slots[slot].live || freed[slot])
+            return fail("bad event free-list entry");
+        freed[slot] = 1;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        const sim::EventQueueImage::SlotImage &s = img.slots[i];
+        if (!s.live)
+            continue;
+        if (!scheduled[i])
+            return fail("live event slot without a queue entry");
+        const bool ok =
+            (s.kind == faas::Orchestrator::kEventTagComplete ||
+             s.kind == faas::Orchestrator::kEventTagReap)
+                ? s.arg < instances
+                : s.kind == faas::Orchestrator::kEventTagDispatch &&
+                      s.arg < services;
+        if (!ok)
+            return fail("unknown event kind or argument");
     }
     return true;
 }
@@ -1013,6 +1087,8 @@ Snapshotter::restoreLane(SectionReader &in,
         error = "corrupt snapshot: trailing bytes in lane section";
         return false;
     }
+    if (!checkEventQueueImage(img, instances.size(), services.size(), error))
+        return false;
 
     // Everything parsed; now mutate. Primary records first, then the
     // derived tables, then the event queue (rebind needs nothing from

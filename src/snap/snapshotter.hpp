@@ -5,7 +5,7 @@
  * capture() serializes a ShardedPlatform paused at a window barrier —
  * event arena, orchestrator records, RNG stream positions, lane script
  * cursors, the shared committed capacity table, and (when attached)
- * the per-lane observability slots — into an eaao-snap v1 image
+ * the per-lane observability slots — into an eaao-snap image
  * (snap/format.hpp). restore() loads such an image into a platform
  * built with the *same configuration* (threads may differ: lane
  * grouping is output-invariant), after which resumeRun() continues the
@@ -33,6 +33,14 @@ namespace eaao::snap {
 class SectionReader;
 class SectionWriter;
 class SnapshotReader;
+
+/**
+ * Wire form of the event-queue image at the head of every lane
+ * section. getEventQueueImage() only decodes; restore validates the
+ * result before the kernel sees it.
+ */
+void putEventQueueImage(SectionWriter &out, const sim::EventQueueImage &img);
+bool getEventQueueImage(SectionReader &in, sim::EventQueueImage &img);
 
 class Snapshotter
 {

@@ -46,6 +46,16 @@ class MinLoadTree
 
     std::size_t size() const { return n_; }
 
+    /**
+     * First position carrying the minimal load — the root's key, O(1).
+     * Precondition: size() > 0.
+     */
+    std::size_t
+    argmin() const
+    {
+        return static_cast<std::size_t>(tree_[0] & 0xffffffffULL);
+    }
+
     /** Set position @p pos to @p load; O(log n). */
     void
     update(std::size_t pos, std::uint32_t load)

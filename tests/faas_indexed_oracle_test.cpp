@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "faas/platform.hpp"
+#include "faas/routing_index.hpp"
 #include "faas/trace.hpp"
 #include "sim/rng.hpp"
 
@@ -197,6 +198,96 @@ TEST(IndexedOracle, RandomWorkloadMatchesReferenceScan)
         ASSERT_FALSE(idx.spend.empty());
         expectIdentical(idx, ref);
     }
+}
+
+TEST(IndexedOracle, RoutingChurnAcrossCompactionsMatchesReferenceScan)
+{
+    // Every sixth op scales a service out by 10-59 instances and every
+    // sixth (offset 3) disconnects one: each disconnect leaves its
+    // routing positions dead, so the flat index keeps filling up and
+    // compacting. Routing must still pick what the active-list scan
+    // picks.
+    std::vector<Op> script = makeScript(0xc0ffee, 1200);
+    for (std::size_t i = 0; i < script.size(); ++i) {
+        if (i % 6 == 0)
+            script[i].kind = Op::Connect;
+        else if (i % 6 == 3)
+            script[i].kind = Op::DisconnectAll;
+    }
+    const WorkloadLog idx = runWorkload(script, 31337, false);
+    const WorkloadLog ref = runWorkload(script, 31337, true);
+    ASSERT_GT(idx.routed.size(), 200u);
+    expectIdentical(idx, ref);
+}
+
+TEST(IndexedOracle, RoutingIndexMatchesFirstMinScanAcrossCompactions)
+{
+    // The index alone against the legacy rule it replaces — the first
+    // instance in activation order with the least in_flight under the
+    // concurrency cap — over random add/reload/remove churn on three
+    // services, with a mid-run restore that re-inserts entries in an
+    // order unrelated to activation.
+    struct Member
+    {
+        std::uint64_t seq;
+        faas::InstanceId id;
+        std::uint32_t load;
+    };
+    std::vector<std::vector<Member>> model(3);
+    faas::RoutingIndex index;
+    sim::Rng rng(0x0dd1ce);
+    faas::InstanceId next_id = 0;
+
+    const auto scan = [&model](faas::ServiceId svc, std::uint32_t cap) {
+        const Member *best = nullptr;
+        for (const Member &m : model[svc]) {
+            if (m.load < cap && (best == nullptr || m.load < best->load))
+                best = &m;
+        }
+        return best == nullptr ? faas::kNoInstance : best->id;
+    };
+
+    for (int op = 0; op < 20000; ++op) {
+        const auto svc =
+            static_cast<faas::ServiceId>(rng.uniformInt(std::uint64_t{3}));
+        auto &members = model[svc];
+        const std::uint64_t roll = rng.uniformInt(std::uint64_t{10});
+        if (roll < 3 || members.empty()) {
+            const auto load =
+                static_cast<std::uint32_t>(rng.uniformInt(std::uint64_t{3}));
+            const faas::InstanceId id = next_id++;
+            members.push_back(Member{index.add(svc, id, load), id, load});
+        } else {
+            const auto pick = static_cast<std::size_t>(
+                rng.uniformInt(static_cast<std::uint64_t>(members.size())));
+            if (roll < 7) {
+                members[pick].load =
+                    static_cast<std::uint32_t>(rng.uniformInt(std::uint64_t{5}));
+                index.reindex(svc, members[pick].seq, members[pick].load);
+            } else {
+                index.remove(svc, members[pick].seq);
+                members.erase(members.begin()
+                              + static_cast<std::ptrdiff_t>(pick));
+            }
+        }
+        if (op == 10000) {
+            // Restore: same next seq, entries in descending-id order.
+            const std::uint64_t next = index.nextSeq();
+            index.resetForRestore(next);
+            for (faas::ServiceId s = 0; s < 3; ++s) {
+                for (auto it = model[s].rbegin(); it != model[s].rend(); ++it)
+                    index.insertRestored(s, it->id, it->load, it->seq);
+            }
+            index.finishRestore();
+        }
+        for (faas::ServiceId s = 0; s < 3; ++s) {
+            for (const std::uint32_t cap : {1u, 3u, 100u}) {
+                ASSERT_EQ(index.leastLoaded(s, cap), scan(s, cap))
+                    << "op " << op << " service " << s << " cap " << cap;
+            }
+        }
+    }
+    EXPECT_GE(index.compactions(), 5u);
 }
 
 TEST(IndexedOracle, DynamicPlacementProfileMatchesReferenceScan)

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -22,6 +23,16 @@ namespace eaao::sim {
 namespace {
 
 constexpr std::int64_t kTickNs = std::int64_t(1) << TimingWheel::kTickBits;
+
+/** Ticks one slot of @p level spans: 64^level. */
+constexpr std::int64_t
+spanTicks(unsigned level)
+{
+    return std::int64_t(1) << (TimingWheel::kSlotBits * level);
+}
+
+/** The wheel's whole horizon (level 3's span, ~39 h) in ns. */
+constexpr std::int64_t kWheelSpanNs = spanTicks(TimingWheel::kLevels) * kTickNs;
 
 /**
  * Both kernels share the slab/seq logic, so a lock-step driver gets
@@ -63,6 +74,13 @@ struct QueuePair
         EXPECT_EQ(wheel.now(), heap.now());
     }
 
+    /** Run both queues to the start of absolute tick @p tick. */
+    void
+    advanceToTick(std::int64_t tick)
+    {
+        advance(SimTime::fromNanos(tick * kTickNs) - wheel.now());
+    }
+
     void
     finish()
     {
@@ -79,11 +97,16 @@ struct QueuePair
 TEST(TimingWheel, PropertyMatchesPureHeapOverRandomOps)
 {
     // 10k mixed ops whose delays span level 0 (sub-tick) through the
-    // far-future heap overflow (> level 3's ~4.9 h), interleaved with
+    // far-future heap overflow (> level 3's ~39 h), interleaved with
     // horizon advances that cross cascade boundaries.
     Rng rng(0x77eel);
     QueuePair q;
     std::vector<EventId> cancellable;
+    const auto ticks = [&rng](std::int64_t n) {
+        return static_cast<std::int64_t>(
+                   rng.uniformInt(static_cast<std::uint64_t>(n)))
+               * kTickNs;
+    };
 
     for (int op = 0; op < 10000; ++op) {
         const std::uint64_t kind = rng.uniformInt(std::uint64_t{10});
@@ -93,18 +116,17 @@ TEST(TimingWheel, PropertyMatchesPureHeapOverRandomOps)
             if (band < 3) { // level 0: within a few ticks
                 d = Duration::nanos(static_cast<std::int64_t>(
                     rng.uniformInt(std::uint64_t{4 * kTickNs})));
-            } else if (band < 6) { // levels 1-2: ms to seconds
-                d = Duration::millis(static_cast<std::int64_t>(
-                    rng.uniformInt(std::uint64_t{5000})));
-            } else if (band < 8) { // level 3: minutes
-                d = Duration::seconds(static_cast<std::int64_t>(
-                    rng.uniformInt(std::uint64_t{3000})));
-            } else if (band < 9) { // deep level 3: hours
-                d = Duration::minutes(static_cast<std::int64_t>(
-                    rng.uniformInt(std::uint64_t{280})));
+            } else if (band < 6) { // levels 1-2: ms to half an hour
+                d = Duration::nanos(ticks(spanTicks(3)) + 17);
+            } else if (band < 8) { // level 3: up to ~39 h
+                d = Duration::nanos(spanTicks(3) * kTickNs
+                                    + ticks(spanTicks(4) - spanTicks(3)));
+            } else if (band < 9) { // level 3, at its span's far edge
+                d = Duration::nanos(kWheelSpanNs - ticks(4096) - 1);
             } else { // beyond the wheel: heap overflow
-                d = Duration::hours(5 + static_cast<std::int64_t>(
-                                            rng.uniformInt(std::uint64_t{8})));
+                d = Duration::nanos(kWheelSpanNs)
+                    + Duration::hours(static_cast<std::int64_t>(
+                        rng.uniformInt(std::uint64_t{8})));
             }
             const EventId id = q.schedule(d);
             if (rng.uniformInt(std::uint64_t{2}) == 0)
@@ -118,9 +140,11 @@ TEST(TimingWheel, PropertyMatchesPureHeapOverRandomOps)
                                   static_cast<std::ptrdiff_t>(pick));
                 q.cancel(id);
             }
-        } else { // advance across tick and cascade boundaries
+        } else if (kind < 9) { // advance across tick and L0/L1 seams
             q.advance(Duration::millis(static_cast<std::int64_t>(
                 rng.uniformInt(std::uint64_t{2000}))));
+        } else { // jump across level-2 and level-3 cascades
+            q.advance(Duration::nanos(ticks(spanTicks(3))));
         }
         ASSERT_EQ(q.wheel.pending(), q.heap.pending()) << "op " << op;
     }
@@ -163,7 +187,8 @@ TEST(TimingWheel, FarFutureOverflowFiresInOrder)
     // still interleave correctly with near-future wheel traffic.
     QueuePair q;
     for (int i = 0; i < 50; ++i) {
-        q.schedule(Duration::hours(6) + Duration::nanos(i * 131));
+        q.schedule(Duration::nanos(kWheelSpanNs) + Duration::hours(1)
+                   + Duration::nanos(i * 131));
         q.schedule(Duration::millis(i * 37));
         q.schedule(Duration::minutes(i));
     }
@@ -174,27 +199,27 @@ TEST(TimingWheel, FarFutureOverflowFiresInOrder)
 
 TEST(TimingWheel, LongHorizonBeyondLevelThreeMatchesHeap)
 {
-    // A multi-hour virtual horizon: events pinned around level 3's
-    // span edge (64^4 ticks, ~4.9 h) and far beyond it into the
+    // A multi-day virtual horizon: events pinned around level 3's
+    // span edge (64^4 ticks, ~39 h) and far beyond it into the
     // overflow heap, mixed with near-future wheel traffic. Overflow
     // entries enter the wheel only when the frontier catches up, and
     // every pop must still match the pure-heap kernel's total
-    // (when, seq) order across the whole 14-hour run.
-    constexpr std::int64_t kL3Ticks = 64LL * 64 * 64 * 64;
+    // (when, seq) order across the whole run.
+    constexpr std::int64_t kL3Ticks = spanTicks(4);
     QueuePair q;
     for (std::int64_t i = 0; i < 80; ++i) {
         q.schedule(Duration::nanos((kL3Ticks - 40 + i) * kTickNs + i * 13));
-        q.schedule(Duration::hours(5 + i % 9) + Duration::minutes(i) +
-                   Duration::nanos(i * 131));
+        q.schedule(Duration::nanos(kWheelSpanNs) + Duration::hours(i % 9)
+                   + Duration::minutes(i) + Duration::nanos(i * 131));
         q.schedule(Duration::millis(i * 997));
     }
     // Uneven multi-hour strides so overflow adoption, cascades and
     // quiet gaps all fire mid-run rather than in one final drain.
     for (int i = 0; i < 24; ++i)
-        q.advance(Duration::minutes(40) + Duration::nanos(i * 7919));
+        q.advance(Duration::nanos(kWheelSpanNs / 12 + i * 7919));
     q.finish();
     EXPECT_EQ(q.wheel.pending(), 0u);
-    EXPECT_GT(q.wheel.now(), SimTime() + Duration::hours(14));
+    EXPECT_GT(q.wheel.now(), SimTime() + Duration::nanos(2 * kWheelSpanNs));
 }
 
 TEST(TimingWheel, QuietGapSkipsAcrossFullLevelThreeCascade)
@@ -235,6 +260,152 @@ TEST(TimingWheel, QuietGapSkipsAcrossFullLevelThreeCascade)
     // actions: the quiet gap is skipped, not walked.
     EXPECT_FALSE(w.advanceOne(due_tick + 4 * TimingWheel::kSlots, sink));
     EXPECT_EQ(w.frontier(), due_tick + 4 * TimingWheel::kSlots + 1);
+}
+
+/** Every entry a wheel dumps, with the frontier (= action tick) then. */
+struct DumpLog
+{
+    TimingWheel *wheel;
+    std::vector<std::pair<std::uint64_t, std::int64_t>> dumped;
+
+    void
+    operator()(const WheelEntry &e)
+    {
+        dumped.emplace_back(e.seq, wheel->frontier());
+    }
+};
+
+TEST(TimingWheel, OwnSlotFlushesAtWindowStartAndNextLapMidWindow)
+{
+    // At levels >= 1 a bucket in the frontier's own slot means one of
+    // two windows: the one starting exactly at the frontier (flush
+    // now), or — once that window has begun — the same slot one lap
+    // (64 windows) later. Both must surface the entry at its due tick,
+    // after exactly one flush per level it ripples down.
+    for (unsigned level = 1; level < TimingWheel::kLevels; ++level) {
+        SCOPED_TRACE(testing::Message() << "level " << level);
+        const std::int64_t span = spanTicks(level);
+        const std::int64_t w = 5; // a window index well inside lap 0
+
+        // Window start: parked from window w-1's start in window w's
+        // slot, then the frontier is stepped to exactly w * span.
+        {
+            TimingWheel wheel;
+            wheel.reset((w - 1) * span);
+            const std::int64_t due = w * span + span - 1;
+            ASSERT_TRUE(wheel.insert(
+                WheelEntry{SimTime::fromNanos(due * kTickNs), 1, 0, 1}));
+            wheel.forEach([&](const WheelEntry &, std::uint8_t lv,
+                              std::uint8_t slot) {
+                EXPECT_EQ(lv, level);
+                EXPECT_EQ(slot, w % TimingWheel::kSlots);
+            });
+            DumpLog log{&wheel, {}};
+            wheel.advanceTo(w * span - 1, log);
+            EXPECT_TRUE(log.dumped.empty());
+            EXPECT_EQ(wheel.frontier(), w * span);
+            // The own-slot bucket acts right at the frontier.
+            ASSERT_TRUE(wheel.advanceOne(w * span, log));
+            EXPECT_EQ(wheel.frontier(), w * span + 1);
+            int actions = 1;
+            while (wheel.advanceOne(due, log))
+                ++actions;
+            ASSERT_EQ(log.dumped.size(), 1u);
+            EXPECT_EQ(log.dumped[0].second, due);
+            EXPECT_LE(actions, static_cast<int>(level) + 1);
+        }
+
+        // Next lap: from mid-window w, a due tick in window w + 64
+        // parks in the frontier's own slot and must wait a full lap.
+        {
+            TimingWheel wheel;
+            const std::int64_t frontier = w * span + span / 2 + 1;
+            wheel.reset(frontier);
+            const std::int64_t lap = (w + TimingWheel::kSlots) * span;
+            const std::int64_t due = lap + span / 4;
+            ASSERT_TRUE(wheel.insert(
+                WheelEntry{SimTime::fromNanos(due * kTickNs), 2, 0, 1}));
+            wheel.forEach([&](const WheelEntry &, std::uint8_t lv,
+                              std::uint8_t slot) {
+                EXPECT_EQ(lv, level);
+                EXPECT_EQ(slot, w % TimingWheel::kSlots);
+            });
+            DumpLog log{&wheel, {}};
+            // The first action is the next lap's window start.
+            ASSERT_TRUE(wheel.advanceOne(due, log));
+            EXPECT_EQ(wheel.frontier(), lap + 1);
+            while (wheel.advanceOne(due, log)) {
+            }
+            ASSERT_EQ(log.dumped.size(), 1u);
+            EXPECT_EQ(log.dumped[0].second, due);
+        }
+    }
+}
+
+TEST(TimingWheel, NextLapSchedulesAndWindowStartHorizonsMatchHeap)
+{
+    // Through the kernel: for each level, park a batch of entries in
+    // the frontier's own slot one lap ahead (plus neighbours either
+    // side), then run to horizons that land exactly on level-1/2/3
+    // window starts with nothing due there. Pop order must match the
+    // pure-heap kernel throughout.
+    for (unsigned level = 1; level < TimingWheel::kLevels; ++level) {
+        SCOPED_TRACE(testing::Message() << "level " << level);
+        const std::int64_t span = spanTicks(level);
+        QueuePair q;
+        // An anchor beyond the wheel keeps syncWheel moving the
+        // frontier to each horizon.
+        q.schedule(Duration::nanos(kWheelSpanNs + 12345));
+        q.advanceToTick(5 * span + span / 2);
+        const std::int64_t base = 5;
+        const std::int64_t lap = (base + TimingWheel::kSlots) * span;
+        for (const std::int64_t off :
+             {std::int64_t{0}, span / 4, span / 2 - 1}) {
+            const SimTime at = SimTime::fromNanos((lap + off) * kTickNs + 3);
+            q.schedule(at - q.wheel.now());
+        }
+        q.schedule(Duration::nanos((lap - span + 1) * kTickNs)
+                   - (q.wheel.now() - SimTime()));
+        q.schedule(Duration::nanos(span * kTickNs));
+        // Horizons exactly on window starts of every level, none due
+        // there (entries sit 3 ns past their tick), in rising order.
+        std::vector<std::int64_t> horizons = {lap, lap + span};
+        for (unsigned l = 1; l < TimingWheel::kLevels; ++l) {
+            const std::int64_t s = spanTicks(l);
+            horizons.push_back((5 * span + span / 2) / s * s + s);
+        }
+        std::sort(horizons.begin(), horizons.end());
+        for (const std::int64_t tick : horizons) {
+            q.advanceToTick(tick);
+            ASSERT_TRUE(q.wheel_trace == q.heap_trace);
+        }
+        q.finish();
+        EXPECT_EQ(q.wheel_trace.size(), 6u);
+    }
+}
+
+TEST(TimingWheel, ScheduleParksNearFutureEntriesAtOnce)
+{
+    // Wheel-bound entries skip the staging buffer: right after
+    // scheduling, staging holds only the due and the beyond-the-wheel
+    // entries, and the rest are already in their buckets.
+    EventQueue eq;
+    eq.scheduleAt(eq.now(), EventTag{1, 0}, [] {});
+    eq.scheduleAfter(Duration::millis(100), EventTag{1, 1}, [] {});
+    eq.scheduleAfter(Duration::minutes(10), EventTag{1, 2}, [] {});
+    eq.scheduleAfter(Duration::nanos(kWheelSpanNs + 1), EventTag{1, 3},
+                     [] {});
+    EventQueueImage img;
+    ASSERT_TRUE(eq.exportImage(img));
+    ASSERT_EQ(img.staging.size(), 2u);
+    EXPECT_EQ(img.staging[0].seq, 0u);
+    EXPECT_EQ(img.staging[1].seq, 3u);
+    ASSERT_EQ(img.wheel.size(), 2u);
+    EXPECT_EQ(img.wheel[0].level, 0u); // 100 ms: under level 0's 537 ms
+    EXPECT_EQ(img.wheel[1].level, 2u); // 10 min: level 2
+    EXPECT_TRUE(img.heap.empty());
+    eq.run();
+    EXPECT_EQ(eq.processed(), 4u);
 }
 
 TEST(TimingWheel, StaleHandleAfterSlotReuseIsRefused)

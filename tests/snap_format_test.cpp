@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the eaao-snap v1 container: primitive encode/decode
+ * Tests for the eaao-snap container: primitive encode/decode
  * round-trips, the bounds-checked reader, and the reject paths a
- * driver turns into exit 2 — truncation, bad magic, a future format
- * version, bit flips caught by the section checksums, and duplicate
- * section ids.
+ * binary turns into exit 2 — truncation, bad magic, any format
+ * version but the current one, bit flips caught by the section
+ * checksums, and duplicate section ids.
  */
 
 #include <gtest/gtest.h>
@@ -195,6 +195,22 @@ TEST(SnapFormat, RejectsNewerFormatVersion)
     image[8] = 0;
     EXPECT_FALSE(r.parse(image, error));
     EXPECT_NE(error.find("version 0"), std::string::npos) << error;
+}
+
+TEST(SnapFormat, RejectsOlderFormatVersion)
+{
+    // Older images are refused, not reinterpreted: a v2 image's wheel
+    // placements assume the old 2^20 ns tick.
+    std::vector<std::uint8_t> image = twoSectionImage();
+    image[8] = static_cast<std::uint8_t>(kFormatVersion - 1); // LE u32
+    std::string error;
+    SnapshotReader r;
+    EXPECT_FALSE(r.parse(image, error));
+    EXPECT_EQ(error.rfind("snapshot format v2 is older", 0), 0u) << error;
+
+    image[8] = 1;
+    EXPECT_FALSE(r.parse(image, error));
+    EXPECT_EQ(error.rfind("snapshot format v1 ", 0), 0u) << error;
 }
 
 TEST(SnapFormat, ChecksumCatchesEveryPayloadBitFlip)

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -304,6 +305,191 @@ TEST(SnapRoundTrip, CapturedImageIsThreadCountInvariant)
     const CapturedRun serial = primeCaptureFinish(1);
     const CapturedRun fanned = primeCaptureFinish(4);
     EXPECT_EQ(serial.image, fanned.image);
+}
+
+TEST(SnapRoundTrip, RestoredRoutingKeepsActivationOrderAcrossIds)
+{
+    // Connect 20, disconnect, connect 5: the reconnect wakes the most
+    // recently idled instances first, so ids 19, 18, ... 15 activate
+    // in that order and a lower id holds a later route_seq. Restore
+    // re-keys active instances in id order; routing after it must
+    // still break in_flight ties by activation order, exactly as the
+    // un-snapshotted run does.
+    using Kind = faas::ShardOp::Kind;
+    const auto run = [](bool round_trip) {
+        faas::ShardedPlatform platform(campaignConfig(2));
+        const faas::AccountId acct = platform.createAccount(0, 1000);
+        const faas::ServiceId svc =
+            platform.deployService(acct, faas::ExecEnv::Gen1);
+        std::vector<faas::ShardOp> ops;
+        const auto push = [&](Kind kind, std::int64_t at_ms) {
+            faas::ShardOp op;
+            op.kind = kind;
+            op.at = sim::SimTime() + sim::Duration::millis(at_ms);
+            op.step = static_cast<std::uint32_t>(ops.size());
+            op.service = svc;
+            op.account = acct;
+            ops.push_back(op);
+            return ops.size() - 1;
+        };
+        ops[push(Kind::SetConcurrency, 0)].a = 3;
+        ops[push(Kind::Connect, 0)].a = 20;
+        push(Kind::Disconnect, 60'000);
+        ops[push(Kind::Connect, 100'000)].a = 5;
+        for (int r = 0; r < 12; ++r) {
+            faas::ShardOp &route = ops[push(Kind::Route, 150'000 + r * 500)];
+            route.dur = sim::Duration::seconds(20 + r);
+        }
+        platform.beginRun(std::move(ops),
+                          sim::SimTime() + sim::Duration::minutes(6));
+        // Windows end at 30/60/90/120 s: capture pre-fold at 120 s,
+        // with the five re-woken instances active and nothing routed.
+        for (int w = 0; w < 3; ++w) {
+            platform.advanceWindow();
+            platform.completeWindow();
+        }
+        platform.advanceWindow();
+        if (round_trip) {
+            const std::vector<std::uint8_t> image =
+                Snapshotter::capture(platform);
+            faas::ShardedPlatform restored(campaignConfig(3));
+            std::string error;
+            EXPECT_TRUE(Snapshotter::restore(image, restored, error))
+                << error;
+            restored.resumeRun();
+            return restored.renderLog();
+        }
+        platform.completeWindow();
+        platform.resumeRun();
+        return platform.renderLog();
+    };
+    const std::string straight = run(false);
+    const std::string restored = run(true);
+    // The first route goes to the earliest-activated: id 19, not 15.
+    EXPECT_NE(straight.find("step=4 inst=19 "), std::string::npos)
+        << straight;
+    EXPECT_EQ(straight, restored);
+}
+
+// -------------------------------------------------- crafted queue images
+
+/**
+ * Re-assemble @p image with lane 0's event-queue image passed through
+ * @p edit. The writer recomputes every checksum, so only the lane
+ * decoder's own checks stand between the edit and the kernel.
+ */
+template <typename Edit>
+std::vector<std::uint8_t>
+editLaneQueue(const std::vector<std::uint8_t> &image, Edit &&edit)
+{
+    SnapshotReader reader;
+    std::string error;
+    EXPECT_TRUE(reader.parse(image, error)) << error;
+    SnapshotWriter writer;
+    for (const std::uint32_t id : reader.sectionIds()) {
+        const SectionView *view = reader.section(id);
+        std::vector<std::uint8_t> payload(view->data,
+                                          view->data + view->size);
+        if (id == kSectionLaneBase) {
+            SectionReader in(view->data, view->size);
+            sim::EventQueueImage img;
+            EXPECT_TRUE(getEventQueueImage(in, img));
+            edit(img);
+            SectionWriter out;
+            putEventQueueImage(out, img);
+            payload = out.take();
+            const std::size_t rest = in.remaining();
+            payload.insert(payload.end(), view->data + view->size - rest,
+                           view->data + view->size);
+        }
+        writer.addSection(id, std::move(payload));
+    }
+    return writer.finish();
+}
+
+TEST(SnapRoundTrip, RestoreRejectsCorruptEventQueueImages)
+{
+    const CapturedRun ref = primeCaptureFinish(1);
+    // The helper itself is byte-exact: a no-op edit rebuilds the image.
+    ASSERT_EQ(editLaneQueue(ref.image, [](sim::EventQueueImage &) {}),
+              ref.image);
+
+    using Img = sim::EventQueueImage;
+    const auto first_live = [](const Img &img) {
+        for (std::size_t i = 0; i < img.slots.size(); ++i) {
+            if (img.slots[i].live)
+                return i;
+        }
+        ADD_FAILURE() << "no live slot in lane 0";
+        return std::size_t{0};
+    };
+    const auto far_slot = [](const Img &img) {
+        return static_cast<std::uint32_t>(img.slots.size());
+    };
+    struct Case
+    {
+        const char *name;
+        std::function<void(Img &)> edit;
+        const char *want;
+    };
+    const std::vector<Case> cases = {
+        {"wheel level past the levels",
+         [](Img &img) { img.wheel.at(0).level = 4; }, "bucket out of range"},
+        {"wheel level 255",
+         [](Img &img) { img.wheel.at(0).level = 255; },
+         "bucket out of range"},
+        {"wheel slot past the slots",
+         [](Img &img) { img.wheel.at(0).wslot = 64; },
+         "bucket out of range"},
+        {"wheel entry slot past the slab",
+         [&](Img &img) { img.wheel.at(0).slot = far_slot(img); },
+         "slot out of range"},
+        {"heap entry slot past the slab",
+         [&](Img &img) {
+             img.heap.push_back(Img::EntryImage{img.now_ns, img.next_seq,
+                                                far_slot(img), 1});
+         },
+         "slot out of range"},
+        {"staging entry slot past the slab",
+         [&](Img &img) {
+             img.staging.push_back(Img::EntryImage{
+                 img.now_ns, img.next_seq, far_slot(img) + 1000, 1});
+         },
+         "slot out of range"},
+        {"free-list index past the slab",
+         [&](Img &img) { img.free_list.push_back(far_slot(img)); },
+         "free-list"},
+        {"free-list names a live slot",
+         [&](Img &img) {
+             img.free_list.push_back(
+                 static_cast<std::uint32_t>(first_live(img)));
+         },
+         "free-list"},
+        {"live slot of an unknown kind",
+         [&](Img &img) { img.slots[first_live(img)].kind = 99; },
+         "unknown event kind"},
+        {"live slot of the untagged kind",
+         [&](Img &img) { img.slots[first_live(img)].kind = 0; },
+         "unknown event kind"},
+        {"live slot naming an instance never restored",
+         [&](Img &img) { img.slots[first_live(img)].arg = 1u << 30; },
+         "unknown event kind or argument"},
+        {"live slot without a queue entry",
+         [&](Img &img) {
+             img.slots.push_back(Img::SlotImage{1, 1, 2, 0});
+         },
+         "without a queue entry"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::vector<std::uint8_t> image =
+            editLaneQueue(ref.image, c.edit);
+        faas::ShardedPlatform platform(campaignConfig(1));
+        std::string error;
+        EXPECT_FALSE(Snapshotter::restore(image, platform, error));
+        EXPECT_EQ(error.rfind("corrupt snapshot: ", 0), 0u) << error;
+        EXPECT_NE(error.find(c.want), std::string::npos) << error;
+    }
 }
 
 TEST(SnapRoundTrip, RestoreRejectsConfigMismatch)
