@@ -3,7 +3,8 @@
  * Ablation kernel: the two placement knobs DESIGN.md calls out — the
  * helper chunk size (how aggressively the load balancer spreads a hot
  * service) and the demand-window length — and their effect on the
- * attack surface. Sweeps come from the campaign's [workload] section.
+ * attack surface. Sweeps come from the campaign's [workload] section;
+ * their points run as parallel trials.
  */
 
 #include <cstdio>
@@ -14,7 +15,9 @@
 #include "campaign/runner.hpp"
 #include "core/report.hpp"
 #include "core/strategy.hpp"
+#include "exp/trial_runner.hpp"
 #include "faas/platform.hpp"
+#include "support/bench_timer.hpp"
 
 namespace {
 
@@ -22,9 +25,9 @@ using namespace eaao;
 
 struct Outcome
 {
-    std::size_t primed_footprint; //!< hosts after priming one service
-    double occupancy;             //!< full campaign, fraction of fleet
-    double coverage;              //!< victim coverage
+    std::size_t primed_footprint = 0; //!< hosts after priming one service
+    double occupancy = 0.0;           //!< full campaign, fraction of fleet
+    double coverage = 0.0;            //!< victim coverage
 };
 
 Outcome
@@ -84,20 +87,44 @@ EAAO_CAMPAIGN_PROGRAM(abl_placement_knobs)
     const std::uint32_t victim_count =
         spec.u32("verify", "victim_instances");
 
+    // Both sweeps form one trial list, chunk points first: every point
+    // is an independent platform with its own seed, and its row is
+    // printed from its slot, so the tables match any --threads value.
+    std::vector<std::uint32_t> chunks;
+    for (const double chunk_val : spec.numList("workload", "chunk_sweep"))
+        chunks.push_back(static_cast<std::uint32_t>(chunk_val));
+    std::vector<int> windows;
+    for (const double window_val : spec.numList("workload", "window_sweep"))
+        windows.push_back(static_cast<int>(window_val));
+
+    support::BenchTimer timer(spec.name(), ctx.threads, chunk_seed);
+    const std::vector<Outcome> outcomes = exp::runTrials(
+        chunks.size() + windows.size(), chunk_seed,
+        [&](exp::TrialContext &trial) {
+            if (trial.index < chunks.size()) {
+                const std::uint32_t chunk = chunks[trial.index];
+                faas::DataCenterProfile profile = base_profile;
+                profile.helper_chunk = chunk;
+                return evaluate(profile, faas::OrchestratorConfig{},
+                                chunk_seed + chunk, victim_count);
+            }
+            const int window_min = windows[trial.index - chunks.size()];
+            faas::OrchestratorConfig orch;
+            orch.demand_window = sim::Duration::minutes(window_min);
+            return evaluate(base_profile, orch, window_seed + window_min,
+                            victim_count);
+        },
+        ctx.threads);
+    support::maybeWriteBenchJson(ctx.argc, ctx.argv, timer.stop());
+
     // ---- Helper chunk sweep. ----
     std::printf("-- helper chunk (hosts added per hot launch) --\n");
     core::TextTable chunk_table;
     chunk_table.header({"helper_chunk", "primed footprint", "occupancy",
                         "victim coverage"});
-    for (const double chunk_val :
-         spec.numList("workload", "chunk_sweep")) {
-        const auto chunk = static_cast<std::uint32_t>(chunk_val);
-        faas::DataCenterProfile profile = base_profile;
-        profile.helper_chunk = chunk;
-        const Outcome out =
-            evaluate(profile, faas::OrchestratorConfig{},
-                     chunk_seed + chunk, victim_count);
-        chunk_table.row({core::format("%u", chunk),
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+        const Outcome &out = outcomes[i];
+        chunk_table.row({core::format("%u", chunks[i]),
                          core::format("%zu", out.primed_footprint),
                          core::percent(out.occupancy),
                          core::percent(out.coverage)});
@@ -112,15 +139,9 @@ EAAO_CAMPAIGN_PROGRAM(abl_placement_knobs)
     core::TextTable window_table;
     window_table.header({"window (min)", "primed footprint",
                          "occupancy", "victim coverage"});
-    for (const double window_val :
-         spec.numList("workload", "window_sweep")) {
-        const int window_min = static_cast<int>(window_val);
-        faas::OrchestratorConfig orch;
-        orch.demand_window = sim::Duration::minutes(window_min);
-        const Outcome out = evaluate(base_profile, orch,
-                                     window_seed + window_min,
-                                     victim_count);
-        window_table.row({core::format("%d", window_min),
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+        const Outcome &out = outcomes[chunks.size() + i];
+        window_table.row({core::format("%d", windows[i]),
                           core::format("%zu", out.primed_footprint),
                           core::percent(out.occupancy),
                           core::percent(out.coverage)});

@@ -14,7 +14,9 @@
 #include "campaign/runner.hpp"
 #include "core/report.hpp"
 #include "core/strategy.hpp"
+#include "exp/trial_runner.hpp"
 #include "faas/platform.hpp"
+#include "support/bench_timer.hpp"
 #include "support/logging.hpp"
 
 namespace {
@@ -67,31 +69,54 @@ EAAO_CAMPAIGN_PROGRAM(sec52_account_scaling)
     const std::uint32_t instances =
         spec.u32("workload", "instances_per_launch");
 
-    core::TextTable table;
-    table.header({"accounts", "services/acct", "quota", "occupancy",
-                  "cost (USD)"});
-
     // point <accounts> <services_per_account> <quota>
+    struct Point
+    {
+        std::uint32_t accounts = 0, services = 0, quota = 0;
+    };
+    std::vector<Point> points;
     for (const campaign::SpecLine *line :
          spec.directives("workload", "point")) {
         if (line->tokens.size() != 4)
             spec.fail(line->line_no,
                       "expected: point <accounts> <services> <quota>");
-        const auto accounts = static_cast<std::uint32_t>(
-            std::stoul(line->tokens[1]));
-        const auto services = static_cast<std::uint32_t>(
-            std::stoul(line->tokens[2]));
-        const auto quota = static_cast<std::uint32_t>(
-            std::stoul(line->tokens[3]));
-        double cost = 0.0;
-        const double occ = occupancyWithAccounts(
-            profile, accounts, services, quota, instances,
-            seed + accounts * 13 + services, cost);
-        table.row({core::format("%u", accounts),
-                   core::format("%u", services),
-                   core::format("%u", quota),
-                   core::percent(occ),
-                   core::format("%.1f", cost)});
+        points.push_back(
+            {static_cast<std::uint32_t>(std::stoul(line->tokens[1])),
+             static_cast<std::uint32_t>(std::stoul(line->tokens[2])),
+             static_cast<std::uint32_t>(std::stoul(line->tokens[3]))});
+    }
+
+    // One trial per point, each on its own platform and seed; rows
+    // print from the slots in point order.
+    struct Result
+    {
+        double occupancy = 0.0;
+        double cost_usd = 0.0;
+    };
+    support::BenchTimer timer(spec.name(), ctx.threads, seed);
+    const std::vector<Result> results = exp::runTrials(
+        points.size(), seed,
+        [&](exp::TrialContext &trial) {
+            const Point &pt = points[trial.index];
+            Result r;
+            r.occupancy = occupancyWithAccounts(
+                profile, pt.accounts, pt.services, pt.quota, instances,
+                seed + pt.accounts * 13 + pt.services, r.cost_usd);
+            return r;
+        },
+        ctx.threads);
+    support::maybeWriteBenchJson(ctx.argc, ctx.argv, timer.stop());
+
+    core::TextTable table;
+    table.header({"accounts", "services/acct", "quota", "occupancy",
+                  "cost (USD)"});
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const Point &pt = points[i];
+        table.row({core::format("%u", pt.accounts),
+                   core::format("%u", pt.services),
+                   core::format("%u", pt.quota),
+                   core::percent(results[i].occupancy),
+                   core::format("%.1f", results[i].cost_usd)});
     }
     table.print();
 }

@@ -46,8 +46,13 @@ readGen1Median(faas::SandboxView &sandbox, std::uint32_t reps)
     EAAO_ASSERT(reps >= 1, "need at least one repetition");
     std::vector<Gen1Reading> readings;
     readings.reserve(reps);
-    for (std::uint32_t r = 0; r < reps; ++r)
-        readings.push_back(readGen1(sandbox));
+    // The model string is the host's and does not change between
+    // reads: parse its labeled frequency once.
+    readings.push_back(readGen1(sandbox));
+    for (std::uint32_t r = 1; r < reps; ++r) {
+        readings.push_back(
+            readGen1WithFrequency(sandbox, readings.front().frequency_hz));
+    }
     std::sort(readings.begin(), readings.end(),
               [](const Gen1Reading &a, const Gen1Reading &b) {
                   return a.tboot_s < b.tboot_s;

@@ -85,12 +85,10 @@ launchAndObserve(faas::Platform &platform, faas::ServiceId service,
             const double reported =
                 hw::SkuCatalog::labeledFrequencyHz(
                     sandbox.cpuModelName());
-            const Gen1Reading reading =
-                reported > 0.0
-                    ? readGen1(sandbox)
-                    : readGen1WithFrequency(
-                          sandbox,
-                          measuredFrequencyHz(sandbox).mean_hz);
+            const Gen1Reading reading = readGen1WithFrequency(
+                sandbox, reported > 0.0
+                             ? reported
+                             : measuredFrequencyHz(sandbox).mean_hz);
             const Gen1Fingerprint fp =
                 quantizeGen1(reading, opts.p_boot_s);
             obs.readings.push_back(reading);

@@ -79,6 +79,7 @@ Orchestrator::createAccount(std::optional<std::uint32_t> shard,
     accounts_.push_back(std::move(acct));
     base_index_.emplace_back();
     acct_active_.emplace_back();
+    base_epoch_.push_back(1);
     if (!cfg_.reference_scan)
         rebuildBaseIndex(accounts_.back());
     return accounts_.back().id;
@@ -102,6 +103,7 @@ Orchestrator::deployService(AccountId account, ExecEnv env,
                                       sim::mix64(svc.helper_seed));
     services_.push_back(std::move(svc));
     admission_.emplace_back();
+    helper_views_.emplace_back();
     if (cfg_.reference_scan)
         svc_host_load_.emplace_back();
     else
@@ -658,7 +660,7 @@ Orchestrator::createInstance(ServiceRecord &svc, std::uint32_t h)
     ++acct.live_count;
     if (!cfg_.reference_scan) {
         base_index_[inst.account].noteLoad(host, acct_on_host);
-        ++svc_host_load_[inst.service][host];
+        noteServiceLoad(inst, ++svc_host_load_[inst.service][host]);
     }
 
     svc.active.push_back(inst.id);
@@ -684,7 +686,7 @@ Orchestrator::createInstance(ServiceRecord &svc, std::uint32_t h)
 
 hw::HostId
 Orchestrator::pickHost(const ServiceRecord &svc, const AccountRecord &acct,
-                       std::uint32_t h, PlacementReason &reason) const
+                       std::uint32_t h, PlacementReason &reason)
 {
     if (h > 0) {
         // Hot service: the load balancer relieves the base hosts by
@@ -793,8 +795,7 @@ Orchestrator::pickBaseHostReference(const ServiceRecord &svc,
 
 std::optional<hw::HostId>
 Orchestrator::pickHelperHost(const ServiceRecord &svc,
-                             const AccountRecord &acct,
-                             std::uint32_t h) const
+                             const AccountRecord &acct, std::uint32_t h)
 {
     const auto &helpers = svc.helper_order;
     if (helpers.empty())
@@ -811,27 +812,63 @@ Orchestrator::pickHelperHost(const ServiceRecord &svc,
         std::min<std::uint64_t>(static_cast<std::uint64_t>(h) *
                                     profile_.helper_chunk,
                                 helpers.size()));
+    if (cfg_.reference_scan)
+        return pickHelperHostReference(svc, acct, base_prefix,
+                                       helper_prefix);
 
-    // Hoisted dense per-host loads of this service (indexed mode): one
-    // array read per candidate instead of a SmallFlatMap lookup. The
-    // scan itself is unchanged, so the selection is identical.
-    const std::uint32_t *dense =
-        cfg_.reference_scan ? nullptr : svc_host_load_[svc.id].data();
+    const std::vector<std::uint32_t> &load = svc_host_load_[svc.id];
+    const auto load_of = [&](hw::HostId hid) { return load[hid]; };
+    HelperViews &views = helper_views_[svc.id];
+    if (!views.helper_current) {
+        views.helper.rebuild(helpers, fleet_.size(), load_of);
+        views.helper_current = true;
+    }
+    if (views.base_epoch != base_epoch_[acct.id]) {
+        views.base.rebuild(acct.base_order, fleet_.size(), load_of);
+        views.base_epoch = base_epoch_[acct.id];
+    }
 
+    // Each view yields the first host of its prefix carrying its
+    // minimal service load. The reference scan visits the base prefix
+    // first and replaces its best only on a strictly lower load, so
+    // the base candidate wins ties — also when isolate_accounts makes
+    // both orders permutations of the same hosts.
+    const auto fits = [&](hw::HostId hid) {
+        return hasCapacity(hid, svc.size);
+    };
+    const auto base = views.base.pickMin(acct.base_order, base_prefix, fits);
+    while (true) {
+        const auto helper = views.helper.pickMin(helpers, helper_prefix, fits);
+        if (base && (!helper || load[*base] <= load[*helper]))
+            return base;
+        if (helper)
+            return helper;
+        if (helper_prefix == helpers.size())
+            return std::nullopt;
+        // helper_chunk 0 starts the prefix empty: grow it from one, or
+        // an overflow out of a full home shard would never end.
+        helper_prefix =
+            std::min(std::max<std::size_t>(2 * helper_prefix, 1),
+                     helpers.size());
+    }
+}
+
+std::optional<hw::HostId>
+Orchestrator::pickHelperHostReference(const ServiceRecord &svc,
+                                      const AccountRecord &acct,
+                                      std::size_t base_prefix,
+                                      std::size_t helper_prefix) const
+{
+    const auto &helpers = svc.helper_order;
     while (true) {
         const hw::HostId *best = nullptr;
         std::uint32_t best_load = 0;
         auto consider = [&](const hw::HostId &hid) {
             if (!hasCapacity(hid, svc.size))
                 return;
-            std::uint32_t load;
-            if (dense != nullptr) {
-                load = dense[hid];
-            } else {
-                const auto &loads = svc_load_[hid];
-                const auto it = loads.find(svc.id);
-                load = it == loads.end() ? 0 : it->second;
-            }
+            const auto &loads = svc_load_[hid];
+            const auto it = loads.find(svc.id);
+            const std::uint32_t load = it == loads.end() ? 0 : it->second;
             if (best == nullptr || load < best_load) {
                 best = &hid;
                 best_load = load;
@@ -845,7 +882,9 @@ Orchestrator::pickHelperHost(const ServiceRecord &svc,
             return *best;
         if (helper_prefix == helpers.size())
             return std::nullopt;
-        helper_prefix = std::min(helper_prefix * 2, helpers.size());
+        helper_prefix =
+            std::min(std::max<std::size_t>(2 * helper_prefix, 1),
+                     helpers.size());
     }
 }
 
@@ -967,7 +1006,7 @@ Orchestrator::terminate(InstanceRecord &inst)
         svc_loads.erase(inst.service);
     if (!cfg_.reference_scan) {
         base_index_[inst.account].noteLoad(inst.host, acct_on_host);
-        --svc_host_load_[inst.service][inst.host];
+        noteServiceLoad(inst, --svc_host_load_[inst.service][inst.host]);
     }
     EAAO_ASSERT(acct.live_count > 0, "live-count underflow");
     --acct.live_count;
@@ -1014,6 +1053,25 @@ Orchestrator::noteActivated(ServiceRecord &svc, InstanceRecord &inst)
     auto &act = acct_active_[inst.account];
     act.insert(std::lower_bound(act.begin(), act.end(), inst.id),
                inst.id);
+}
+
+void
+Orchestrator::noteBaseOrderChanged(const AccountRecord &acct)
+{
+    ++base_epoch_[acct.id];
+    if (!cfg_.reference_scan)
+        rebuildBaseIndex(acct);
+}
+
+void
+Orchestrator::noteServiceLoad(const InstanceRecord &inst,
+                              std::uint32_t load)
+{
+    HelperViews &views = helper_views_[inst.service];
+    if (views.helper_current)
+        views.helper.noteLoad(inst.host, load);
+    if (views.base_epoch == base_epoch_[inst.account])
+        views.base.noteLoad(inst.host, load);
 }
 
 void
@@ -1205,6 +1263,10 @@ Orchestrator::rebuildDerivedState()
         }
     }
     routing_.finishRestore();
+    // Helper-pick views rebuild lazily at each service's next pick.
+    helper_views_.clear();
+    helper_views_.resize(services_.size());
+    base_epoch_.assign(accounts_.size(), 1);
     base_index_.clear();
     base_index_.resize(accounts_.size());
     if (!cfg_.reference_scan) {
@@ -1223,8 +1285,7 @@ Orchestrator::refreshPreferences(ServiceRecord &svc, AccountRecord &acct)
         // regenerate the helper permutation each launch.
         acct.base_order =
             buildBaseOrder(acct, profile_.per_launch_jitter, stream);
-        if (!cfg_.reference_scan)
-            rebuildBaseIndex(acct);
+        noteBaseOrderChanged(acct);
 #if EAAO_OBS_ENABLED
         // Helper-set churn: fraction of the previous helper prefix (the
         // ~50 hosts a hot service actually reaches) absent from the new
@@ -1235,6 +1296,7 @@ Orchestrator::refreshPreferences(ServiceRecord &svc, AccountRecord &acct)
 #endif
         svc.helper_seed = stream();
         svc.helper_order = buildHelperOrder(acct.shard, svc.helper_seed);
+        helper_views_[svc.id].helper_current = false;
         svc.spill_order =
             buildSpillOrder(acct.shard, sim::mix64(svc.helper_seed));
 #if EAAO_OBS_ENABLED
@@ -1260,8 +1322,7 @@ Orchestrator::refreshPreferences(ServiceRecord &svc, AccountRecord &acct)
         // and out of the base prefix between launches (Fig. 7).
         acct.base_order =
             buildBaseOrder(acct, profile_.base_launch_jitter, stream);
-        if (!cfg_.reference_scan)
-            rebuildBaseIndex(acct);
+        noteBaseOrderChanged(acct);
     }
 }
 

@@ -37,6 +37,7 @@
 #include "obs/observer.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
+#include "support/chunked_table.hpp"
 #include "support/flat_map.hpp"
 #include "support/soa.hpp"
 
@@ -459,7 +460,7 @@ class Orchestrator
     /** Pick a host for a new instance, reporting the path taken. */
     hw::HostId pickHost(const ServiceRecord &svc,
                         const AccountRecord &acct, std::uint32_t hotness,
-                        PlacementReason &reason) const;
+                        PlacementReason &reason);
 
     /** Cold path: least-loaded base host within the demand prefix. */
     std::optional<hw::HostId> pickBaseHost(const ServiceRecord &svc,
@@ -474,11 +475,19 @@ class Orchestrator
     /**
      * Hot path: least-loaded host among the demand-sized base prefix
      * plus the hotness-sized helper prefix (the load balancer relieves
-     * the base hosts without abandoning them).
+     * the base hosts without abandoning them). Answered from the
+     * service's HelperViews, (re)built here when stale.
      */
     std::optional<hw::HostId> pickHelperHost(const ServiceRecord &svc,
                                              const AccountRecord &acct,
-                                             std::uint32_t hotness) const;
+                                             std::uint32_t hotness);
+
+    /** Pre-index linear-scan body of pickHelperHost (reference mode). */
+    std::optional<hw::HostId>
+    pickHelperHostReference(const ServiceRecord &svc,
+                            const AccountRecord &acct,
+                            std::size_t base_prefix,
+                            std::size_t helper_prefix) const;
 
     /** Dynamic-DC cold spill: a random host off the base set. */
     std::optional<hw::HostId> pickSpillHost(const ServiceRecord &svc)
@@ -546,6 +555,19 @@ class Orchestrator
     /** Rebuild an account's placement min-view after an order change. */
     void rebuildBaseIndex(const AccountRecord &acct);
 
+    /**
+     * Record that @p acct's base_order was reassigned: bumps the
+     * account's base epoch (staling every service's helper-pick base
+     * view) and rebuilds the account's own placement min-view.
+     */
+    void noteBaseOrderChanged(const AccountRecord &acct);
+
+    /**
+     * Fold a new per-host load of @p inst's service into that
+     * service's helper-pick views (the ones that are current).
+     */
+    void noteServiceLoad(const InstanceRecord &inst, std::uint32_t load);
+
     /** Capacity check for one more instance of @p size on @p host. */
     bool hasCapacity(hw::HostId host, const ContainerSize &size) const;
 
@@ -590,7 +612,8 @@ class Orchestrator
     PlacementTrace *trace_ = nullptr;
     std::vector<AccountRecord> accounts_;
     std::vector<ServiceRecord> services_;
-    std::vector<InstanceRecord> instances_;
+    /** Every instance ever created, by id; records never move. */
+    support::ChunkedTable<InstanceRecord> instances_;
 
     /** Admission queues, indexed by service id (grown on deploy). */
     std::vector<AdmissionQueue> admission_;
@@ -623,9 +646,30 @@ class Orchestrator
      *  incremental spend query sums in the same order the legacy full
      *  scan did — bit-identical doubles). */
     std::vector<std::vector<InstanceId>> acct_active_;
-    /** Per service: dense per-host live-instance counts (replaces the
-     *  SmallFlatMap lookup per helper/spill scan candidate). */
+    /** Per service: dense per-host live-instance counts (the key of
+     *  the helper-pick views; one array read per spill candidate). */
     std::vector<std::vector<std::uint32_t>> svc_host_load_;
+
+    /**
+     * Per service: the two min-views pickHelperHost answers from, both
+     * keyed by the service's own per-host load (svc_host_load_). They
+     * are built at the service's first helper pick, so services that
+     * never run hot pay nothing, and rebuilt there whenever the order
+     * they mirror was reassigned since. Capacity is not part of the
+     * key: the pick checks it lazily during the descent, so a host
+     * filling or freeing up needs no update in any view. See
+     * docs/performance.md.
+     */
+    struct HelperViews
+    {
+        PlacementMinIndex helper; //!< over the service's helper_order
+        PlacementMinIndex base;   //!< over its account's base_order
+        bool helper_current = false; //!< built since the last reassign
+        std::uint64_t base_epoch = 0; //!< account epoch built at; 0 = never
+    };
+    std::vector<HelperViews> helper_views_;
+    /** Per account: bumped on every base_order reassign (starts at 1). */
+    std::vector<std::uint64_t> base_epoch_;
 };
 
 } // namespace eaao::faas

@@ -1,20 +1,23 @@
 /**
  * @file
- * Incremental per-account placement index.
+ * Incremental placement index: a min-load view over one host order.
  *
- * Wraps a support::MinLoadTree over one account's base-host preference
- * order so that the orchestrator's cold placement (`pickBaseHost`) can
- * find the least-loaded host of a demand-sized prefix without
+ * Wraps a support::MinLoadTree over a host preference order so that a
+ * placement can find the least-loaded host of a prefix without
  * re-scanning the prefix and re-querying the per-host load tables per
- * candidate. Loads are folded in incrementally on every instance
- * create/terminate; the tree is rebuilt whenever the preference order
- * itself is re-jittered (at most once per launch — the same cadence at
- * which the order was already being rebuilt).
+ * candidate. The orchestrator keeps one per account over its base
+ * order, keyed by the account's load (cold placement, `pickBaseHost`),
+ * and two per hot service over its helper order and its account's
+ * base order, keyed by the service's load (`pickHelperHost`). Loads
+ * are folded in incrementally on every instance create/terminate; a
+ * view is rebuilt whenever the order it mirrors is reassigned (at most
+ * once per launch — the same cadence at which the order was already
+ * being rebuilt).
  *
  * Selection semantics are identical to the legacy scan: first position
- * in order carrying the minimal load of this account, skipping hosts
- * without capacity (see min_load_tree.hpp for why the tree's argmin
- * reproduces the first-strict-improvement tie-break).
+ * in order carrying the minimal load, skipping hosts without capacity
+ * (see min_load_tree.hpp for why the tree's argmin reproduces the
+ * first-strict-improvement tie-break).
  */
 
 #ifndef EAAO_FAAS_PLACEMENT_INDEX_HPP
@@ -29,14 +32,14 @@
 
 namespace eaao::faas {
 
-/** Min-load view over one account's base-host order. */
+/** Min-load view over one host preference order. */
 class PlacementMinIndex
 {
   public:
     /**
      * Rebuild for a (possibly re-jittered) preference @p order.
-     * @p load_of returns the account's current live-instance count on
-     * a host. @p fleet_size bounds host ids.
+     * @p load_of returns the current live-instance count the view is
+     * keyed by on a host. @p fleet_size bounds host ids.
      */
     template <typename LoadOf>
     void

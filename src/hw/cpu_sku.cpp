@@ -5,7 +5,9 @@
 
 #include "hw/cpu_sku.hpp"
 
-#include <cstdio>
+#include <cctype>
+#include <charconv>
+#include <system_error>
 
 #include "support/logging.hpp"
 
@@ -33,12 +35,24 @@ SkuCatalog::get(SkuId id) const
 double
 SkuCatalog::labeledFrequencyHz(const std::string &model_name)
 {
-    // Look for the "@ <num>GHz" suffix.
+    // Look for the "@ <num>GHz" suffix. This reads what the former
+    // `sscanf(at, "@ %lfGHz")` read: any run of whitespace (or none)
+    // after the '@', then a decimal number, correctly rounded like
+    // strtod; the "GHz" unit itself was never checked.
     const auto at = model_name.rfind('@');
     if (at == std::string::npos)
         return 0.0;
+    const char *p = model_name.data() + at + 1;
+    const char *const end = model_name.data() + model_name.size();
+    while (p != end && std::isspace(static_cast<unsigned char>(*p)))
+        ++p;
+    if (p != end && *p == '+') {
+        // scanf takes an explicit plus sign; from_chars does not.
+        if (++p != end && *p == '-')
+            return 0.0;
+    }
     double ghz = 0.0;
-    if (std::sscanf(model_name.c_str() + at, "@ %lfGHz", &ghz) != 1)
+    if (std::from_chars(p, end, ghz).ec != std::errc{})
         return 0.0;
     return ghz * 1e9;
 }

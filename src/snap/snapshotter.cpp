@@ -24,6 +24,7 @@
 
 #include "exp/thread_pool.hpp"
 #include "snap/format.hpp"
+#include "support/chunked_table.hpp"
 #include "support/logging.hpp"
 
 namespace eaao::snap {
@@ -938,8 +939,9 @@ Snapshotter::restoreLane(SectionReader &in,
         (inst_raw = in.take(static_cast<std::size_t>(n) * kInstWire)) ==
             nullptr)
         return bail("lane instance table");
-    std::vector<faas::InstanceRecord> instances;
-    instances.reserve(static_cast<std::size_t>(n));
+    // Decoded straight into the orchestrator's table type, which the
+    // move-assignment below installs without copying a record.
+    support::ChunkedTable<faas::InstanceRecord> instances;
     for (std::uint64_t i = 0; i < n; ++i) {
         const std::uint8_t *p = inst_raw + i * kInstWire;
         faas::InstanceRecord inst;

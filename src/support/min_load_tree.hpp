@@ -21,6 +21,8 @@
 #ifndef EAAO_SUPPORT_MIN_LOAD_TREE_HPP
 #define EAAO_SUPPORT_MIN_LOAD_TREE_HPP
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -34,14 +36,17 @@ namespace eaao::support {
 class MinLoadTree
 {
   public:
-    /** Rebuild over @p loads (position i gets loads[i]). */
+    /** Rebuild over @p loads (position i gets loads[i]); O(n). */
     void
     assign(const std::vector<std::uint32_t> &loads)
     {
         n_ = loads.size();
-        tree_.assign(n_ == 0 ? 0 : 4 * n_, kInf);
-        if (n_ > 0)
-            build(0, 0, n_, loads);
+        leaves_ = n_ == 0 ? 0 : std::bit_ceil(n_);
+        tree_.assign(2 * leaves_, kInf);
+        for (std::size_t i = 0; i < n_; ++i)
+            tree_[leaves_ + i] = key(loads[i], i);
+        for (std::size_t node = leaves_; node-- > 1;)
+            tree_[node] = std::min(tree_[2 * node], tree_[2 * node + 1]);
     }
 
     std::size_t size() const { return n_; }
@@ -53,14 +58,26 @@ class MinLoadTree
     std::size_t
     argmin() const
     {
-        return static_cast<std::size_t>(tree_[0] & 0xffffffffULL);
+        return static_cast<std::size_t>(tree_[1] & 0xffffffffULL);
     }
 
-    /** Set position @p pos to @p load; O(log n). */
+    /**
+     * Set position @p pos to @p load; O(log n), bottom-up. The climb
+     * stops at the first ancestor whose minimum is unchanged, since
+     * nothing above it can change either.
+     */
     void
     update(std::size_t pos, std::uint32_t load)
     {
-        updateNode(0, 0, n_, pos, key(load, pos));
+        std::size_t node = leaves_ + pos;
+        tree_[node] = key(load, pos);
+        for (node /= 2; node >= 1; node /= 2) {
+            const std::uint64_t m =
+                std::min(tree_[2 * node], tree_[2 * node + 1]);
+            if (tree_[node] == m)
+                break;
+            tree_[node] = m;
+        }
     }
 
     /**
@@ -79,7 +96,7 @@ class MinLoadTree
         if (prefix > n_)
             prefix = n_;
         std::uint64_t best = kInf;
-        query(0, 0, n_, prefix, best, accept);
+        query(1, 0, leaves_, prefix, best, accept);
         if (best == kInf)
             return std::nullopt;
         return static_cast<std::size_t>(best & 0xffffffffULL);
@@ -93,36 +110,6 @@ class MinLoadTree
     {
         return (static_cast<std::uint64_t>(load) << 32) |
                static_cast<std::uint64_t>(pos);
-    }
-
-    void
-    build(std::size_t node, std::size_t l, std::size_t r,
-          const std::vector<std::uint32_t> &loads)
-    {
-        if (r - l == 1) {
-            tree_[node] = key(loads[l], l);
-            return;
-        }
-        const std::size_t mid = l + (r - l) / 2;
-        build(2 * node + 1, l, mid, loads);
-        build(2 * node + 2, mid, r, loads);
-        tree_[node] = std::min(tree_[2 * node + 1], tree_[2 * node + 2]);
-    }
-
-    void
-    updateNode(std::size_t node, std::size_t l, std::size_t r,
-               std::size_t pos, std::uint64_t k)
-    {
-        if (r - l == 1) {
-            tree_[node] = k;
-            return;
-        }
-        const std::size_t mid = l + (r - l) / 2;
-        if (pos < mid)
-            updateNode(2 * node + 1, l, mid, pos, k);
-        else
-            updateNode(2 * node + 2, mid, r, pos, k);
-        tree_[node] = std::min(tree_[2 * node + 1], tree_[2 * node + 2]);
     }
 
     /**
@@ -143,11 +130,14 @@ class MinLoadTree
             return;
         }
         const std::size_t mid = l + (r - l) / 2;
-        query(2 * node + 1, l, mid, prefix, best, accept);
-        query(2 * node + 2, mid, r, prefix, best, accept);
+        query(2 * node, l, mid, prefix, best, accept);
+        query(2 * node + 1, mid, r, prefix, best, accept);
     }
 
     std::size_t n_ = 0;
+    std::size_t leaves_ = 0; //!< bit_ceil(n_): padding leaves hold kInf
+    /** 1-based heap layout: node i has children 2i and 2i + 1, leaf
+     *  p sits at leaves_ + p; tree_[0] is unused. */
     std::vector<std::uint64_t> tree_;
 };
 

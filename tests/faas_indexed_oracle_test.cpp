@@ -22,8 +22,10 @@
 
 #include "faas/platform.hpp"
 #include "faas/routing_index.hpp"
+#include "faas/sharded.hpp"
 #include "faas/trace.hpp"
 #include "sim/rng.hpp"
+#include "snap/snapshotter.hpp"
 
 namespace eaao {
 namespace {
@@ -339,6 +341,239 @@ TEST(IndexedOracle, DynamicPlacementProfileMatchesReferenceScan)
     }
     ASSERT_FALSE(logs[0].trace.empty());
     expectIdentical(logs[0], logs[1]);
+}
+
+/** What one hot-placement run placed, and how hard it pushed. */
+struct HotRun
+{
+    std::vector<faas::PlacementEvent> trace;
+    std::size_t helper_placements = 0;
+    std::size_t max_full_hosts = 0; //!< hosts with no room, worst launch
+};
+
+/**
+ * Several services of one account launched together, again and again
+ * within the demand window, so every launch after the first is hot and
+ * lands on the helper layer. After each launch, count the hosts that
+ * cannot take one more instance of @p size.
+ */
+HotRun
+runHotPlacement(const faas::DataCenterProfile &profile, bool isolate,
+                bool reference, faas::ContainerSize size, int services,
+                int rounds)
+{
+    faas::PlatformConfig cfg;
+    cfg.profile = profile;
+    cfg.seed = 0x407;
+    cfg.orchestrator.isolate_accounts = isolate;
+    cfg.orchestrator.reference_scan = reference;
+    faas::Platform platform(cfg);
+    faas::Orchestrator &orch = platform.orchestrator();
+    faas::PlacementTrace trace;
+    orch.attachTrace(&trace);
+
+    const auto acct = platform.createAccount(0);
+    const auto other = platform.createAccount(1);
+    std::vector<faas::ServiceId> svcs;
+    for (int s = 0; s < services; ++s)
+        svcs.push_back(platform.deployService(acct, faas::ExecEnv::Gen1, size));
+    const auto bystander =
+        platform.deployService(other, faas::ExecEnv::Gen1, size);
+
+    HotRun run;
+    const faas::Fleet &fleet = platform.fleet();
+    std::vector<double> used(fleet.size());
+    for (int r = 0; r < rounds; ++r) {
+        for (const auto svc : svcs)
+            platform.connect(svc, 800);
+        platform.connect(bystander, 100 + 50 * static_cast<std::uint32_t>(r));
+        std::fill(used.begin(), used.end(), 0.0);
+        for (faas::InstanceId id = 0; id < orch.instanceCount(); ++id) {
+            const faas::InstanceRecord &inst = orch.instance(id);
+            if (inst.state != faas::InstanceState::Terminated)
+                used[inst.host] += inst.size.vcpus;
+        }
+        std::size_t full = 0;
+        for (hw::HostId h = 0; h < fleet.size(); ++h) {
+            const double usable =
+                fleet.host(h).vcpus() * cfg.orchestrator.host_usable_fraction;
+            full += used[h] + size.vcpus > usable;
+        }
+        run.max_full_hosts = std::max(run.max_full_hosts, full);
+        platform.advance(sim::Duration::minutes(1));
+        for (const auto svc : svcs)
+            platform.disconnectAll(svc);
+        platform.disconnectAll(bystander);
+        platform.advance(sim::Duration::minutes(2 + r % 3));
+    }
+    orch.attachTrace(nullptr);
+    run.trace = trace.events();
+    for (const faas::PlacementEvent &ev : run.trace)
+        run.helper_placements += ev.reason == faas::PlacementReason::HotHelper;
+    return run;
+}
+
+/** A hot two-service storm per lane of a 2-lane sharded platform. */
+std::vector<faas::ShardOp>
+hotShardOps(faas::ShardedPlatform &platform)
+{
+    using Kind = faas::ShardOp::Kind;
+    std::vector<faas::ShardOp> ops;
+    for (std::uint32_t lane = 0; lane < platform.laneCount(); ++lane) {
+        const faas::AccountId acct = platform.createAccount(lane, 1000);
+        std::vector<faas::ServiceId> svcs;
+        for (int s = 0; s < 2; ++s) {
+            svcs.push_back(platform.deployService(
+                acct, faas::ExecEnv::Gen1, faas::sizes::kLarge));
+        }
+        std::uint32_t step = 0;
+        for (int round = 0; round < 4; ++round) {
+            const sim::SimTime t =
+                sim::SimTime() + sim::Duration::minutes(3 * round);
+            for (const faas::ServiceId svc : svcs) {
+                faas::ShardOp op;
+                op.kind = Kind::Connect;
+                op.at = t;
+                op.step = step++;
+                op.service = svc;
+                op.account = acct;
+                // Each launch outgrows the idle pool the last one left,
+                // so the shortfall is created hot, on helper hosts.
+                op.a = 250 + 200 * static_cast<std::uint32_t>(round);
+                ops.push_back(op);
+            }
+            for (const faas::ServiceId svc : svcs) {
+                faas::ShardOp op;
+                op.kind = Kind::Disconnect;
+                op.at = t + sim::Duration::minutes(1);
+                op.step = step++;
+                op.service = svc;
+                op.account = acct;
+                ops.push_back(op);
+            }
+        }
+    }
+    return ops;
+}
+
+/**
+ * Canonical log of the hot sharded storm; with @p restore_at_window,
+ * captured pre-fold at that barrier and finished on a platform that
+ * has already run the whole storm (so every view it holds is stale).
+ */
+std::string
+runHotSharded(bool reference, int restore_at_window)
+{
+    faas::ShardedConfig cfg;
+    cfg.profile.host_count = 220; // two shards, two lanes
+    cfg.seed = 5150;
+    cfg.threads = 2;
+    cfg.orchestrator.reference_scan = reference;
+    faas::ShardedPlatform platform(cfg);
+    platform.beginRun(hotShardOps(platform),
+                      sim::SimTime() + sim::Duration::minutes(14));
+    if (restore_at_window < 0) {
+        platform.resumeRun();
+        return platform.renderLog();
+    }
+    for (int w = 0; w < restore_at_window; ++w) {
+        platform.advanceWindow();
+        platform.completeWindow();
+    }
+    platform.advanceWindow();
+    const std::vector<std::uint8_t> image =
+        snap::Snapshotter::capture(platform);
+    faas::ShardedPlatform restored(cfg);
+    restored.run(hotShardOps(restored),
+                 sim::SimTime() + sim::Duration::minutes(14));
+    std::string error;
+    EXPECT_TRUE(snap::Snapshotter::restore(image, restored, error)) << error;
+    restored.resumeRun();
+    return restored.renderLog();
+}
+
+TEST(IndexedOracle, HelperPickMatchesReferenceScan)
+{
+    // The helper pick answers from two per-service min-views (helper
+    // order and base order, keyed by the service's per-host load);
+    // every hot placement must land where the dense scan of both
+    // prefixes lands, including its base-first tie-break.
+    faas::DataCenterProfile small = faas::DataCenterProfile::usEast1();
+    small.host_count = 220; // two shards: Large launches fill hosts
+    struct Case
+    {
+        const char *name;
+        faas::DataCenterProfile profile;
+        bool isolate;
+        int services;
+    };
+    const Case cases[] = {
+        {"us-east1 Large at capacity", small, false, 3},
+        {"isolate_accounts", small, true, 2},
+        {"us-central1 per-launch re-jitter",
+         faas::DataCenterProfile::usCentral1(), false, 3},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const HotRun idx = runHotPlacement(c.profile, c.isolate, false,
+                                           faas::sizes::kLarge, c.services, 5);
+        const HotRun ref = runHotPlacement(c.profile, c.isolate, true,
+                                           faas::sizes::kLarge, c.services, 5);
+        EXPECT_GT(idx.helper_placements, 1000u);
+        ASSERT_EQ(idx.trace.size(), ref.trace.size());
+        for (std::size_t i = 0; i < idx.trace.size(); ++i) {
+            ASSERT_EQ(idx.trace[i].host, ref.trace[i].host) << "event " << i;
+            ASSERT_EQ(idx.trace[i].reason, ref.trace[i].reason)
+                << "event " << i;
+        }
+        if (c.profile.host_count == small.host_count) {
+            EXPECT_GT(idx.max_full_hosts, 10u);
+        }
+    }
+
+    // Mid-run snapshot restore: the views are derived state, rebuilt
+    // after restore; the resumed run must still place like the scan.
+    const std::string ref = runHotSharded(true, -1);
+    EXPECT_EQ(runHotSharded(false, -1), ref);
+    EXPECT_EQ(runHotSharded(false, 8), ref);
+    EXPECT_NE(ref.find("why=hot-helper"), std::string::npos);
+}
+
+TEST(IndexedOracle, ZeroHelperChunkOverflowLeavesAFullHomeShard)
+{
+    // helper_chunk 0 turns the hot-path load balancer off, so the
+    // helper prefix starts empty. Once the home shard is full, cold
+    // overflow must still grow that prefix and find helper hosts
+    // (it used to double an empty prefix forever), in both modes.
+    faas::DataCenterProfile profile = faas::DataCenterProfile::usEast1();
+    profile.helper_chunk = 0;
+    std::vector<faas::PlacementEvent> traces[2];
+    for (const bool reference : {false, true}) {
+        faas::PlatformConfig cfg;
+        cfg.profile = profile;
+        cfg.seed = 3;
+        cfg.orchestrator.reference_scan = reference;
+        faas::Platform platform(cfg);
+        faas::PlacementTrace trace;
+        platform.orchestrator().attachTrace(&trace);
+        const auto acct = platform.createAccount(0);
+        for (int s = 0; s < 3; ++s) {
+            platform.connect(platform.deployService(acct, faas::ExecEnv::Gen1,
+                                                    faas::sizes::kLarge),
+                             1000);
+        }
+        platform.orchestrator().attachTrace(nullptr);
+        traces[reference ? 1 : 0] = trace.events();
+    }
+    ASSERT_EQ(traces[0].size(), 3000u);
+    std::size_t overflow = 0;
+    for (std::size_t i = 0; i < traces[0].size(); ++i) {
+        ASSERT_EQ(traces[0][i].host, traces[1][i].host) << "event " << i;
+        ASSERT_EQ(traces[0][i].reason, traces[1][i].reason) << "event " << i;
+        overflow +=
+            traces[0][i].reason == faas::PlacementReason::ColdOverflow;
+    }
+    EXPECT_GT(overflow, 100u);
 }
 
 /**

@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "hw/cpu_sku.hpp"
 #include "hw/host.hpp"
@@ -37,6 +41,39 @@ TEST(SkuCatalog, CatalogEntriesAreSelfConsistent)
         // The label the attacker parses must equal the nominal rate.
         EXPECT_DOUBLE_EQ(SkuCatalog::labeledFrequencyHz(sku.model_name),
                          sku.nominal_hz);
+    }
+}
+
+/** The sscanf form labeledFrequencyHz replaced: the reference parse. */
+double
+sscanfFrequencyHz(const std::string &model_name)
+{
+    const auto at = model_name.rfind('@');
+    if (at == std::string::npos)
+        return 0.0;
+    double ghz = 0.0;
+    if (std::sscanf(model_name.c_str() + at, "@ %lfGHz", &ghz) != 1)
+        return 0.0;
+    return ghz * 1e9;
+}
+
+TEST(SkuCatalog, LabelParseMatchesSscanfBitForBit)
+{
+    std::vector<std::string> names;
+    SkuCatalog catalog;
+    for (SkuId id = 0; id < catalog.size(); ++id)
+        names.push_back(catalog.get(id).model_name);
+    for (const char *edge :
+         {"Virtual CPU", "@", "@ GHz", "@2.2GHz", "x @\t2.30GHz",
+          "x @\t \t2.60GHz", "@ ", "@ -2.5GHz", "@ +2.8GHz", "@ +-2GHz",
+          "@ +GHz", "@ .5GHz", "@ 2.2", "@ 2.2MHz", "@ 1e0GHz",
+          "a @ 1 @ 2.25GHz", "@ 0.1GHz", "@ 2.0000000000000001GHz"})
+        names.emplace_back(edge);
+    for (const std::string &name : names) {
+        const double got = SkuCatalog::labeledFrequencyHz(name);
+        const double want = sscanfFrequencyHz(name);
+        EXPECT_EQ(0, std::memcmp(&got, &want, sizeof got))
+            << "'" << name << "': " << got << " vs " << want;
     }
 }
 

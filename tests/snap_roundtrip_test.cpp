@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -21,6 +22,7 @@
 #include "sim/rng.hpp"
 #include "snap/format.hpp"
 #include "snap/snapshotter.hpp"
+#include "support/chunked_table.hpp"
 
 namespace eaao::snap {
 namespace {
@@ -369,6 +371,75 @@ TEST(SnapRoundTrip, RestoredRoutingKeepsActivationOrderAcrossIds)
     EXPECT_NE(straight.find("step=4 inst=19 "), std::string::npos)
         << straight;
     EXPECT_EQ(straight, restored);
+}
+
+TEST(SnapRoundTrip, RestoresInstanceTableSpanningChunks)
+{
+    // The instance table is a ChunkedTable; restore decodes straight
+    // into one. Put lane 0 past two chunks of records (three services
+    // launched, idled, reaped and relaunched) and check the restored
+    // table and the resumed run against the straight one.
+    using Kind = faas::ShardOp::Kind;
+    using Table = support::ChunkedTable<faas::InstanceRecord>;
+    const auto build = [](faas::ShardedPlatform &platform) {
+        const faas::AccountId acct = platform.createAccount(0, 1000);
+        std::vector<faas::ShardOp> ops;
+        for (int s = 0; s < 3; ++s) {
+            const faas::ServiceId svc =
+                platform.deployService(acct, faas::ExecEnv::Gen1);
+            for (int round = 0; round < 2; ++round) {
+                faas::ShardOp op;
+                op.service = svc;
+                op.account = acct;
+                op.kind = Kind::Connect;
+                op.at = sim::SimTime() + sim::Duration::minutes(20 * round);
+                op.step = static_cast<std::uint32_t>(ops.size());
+                op.a = 400;
+                ops.push_back(op);
+                op.kind = Kind::Disconnect;
+                op.at = op.at + sim::Duration::minutes(1);
+                op.step = static_cast<std::uint32_t>(ops.size());
+                ops.push_back(op);
+            }
+        }
+        std::stable_sort(ops.begin(), ops.end(),
+                         [](const faas::ShardOp &a, const faas::ShardOp &b) {
+                             return a.at < b.at;
+                         });
+        return ops;
+    };
+    const sim::SimTime horizon = sim::SimTime() + sim::Duration::minutes(30);
+    const int capture_window = 43; // 22 min: after the second launch
+
+    faas::ShardedPlatform straight(campaignConfig(2));
+    straight.run(build(straight), horizon);
+
+    faas::ShardedPlatform platform(campaignConfig(2));
+    platform.beginRun(build(platform), horizon);
+    for (int w = 0; w < capture_window; ++w) {
+        platform.advanceWindow();
+        platform.completeWindow();
+    }
+    platform.advanceWindow();
+    const std::size_t captured = platform.laneOrchestrator(0).instanceCount();
+    ASSERT_GT(captured, 2 * Table::kPerChunk);
+    const std::vector<std::uint8_t> image = Snapshotter::capture(platform);
+
+    faas::ShardedPlatform restored(campaignConfig(3));
+    std::string error;
+    ASSERT_TRUE(Snapshotter::restore(image, restored, error)) << error;
+    const faas::Orchestrator &orch = restored.laneOrchestrator(0);
+    ASSERT_EQ(orch.instanceCount(), captured);
+    for (const std::size_t id :
+         {std::size_t{0}, Table::kPerChunk - 1, Table::kPerChunk,
+          2 * Table::kPerChunk, captured - 1}) {
+        EXPECT_EQ(orch.instance(id).id, id);
+        EXPECT_EQ(orch.instance(id).host,
+                  platform.laneOrchestrator(0).instance(id).host);
+    }
+    restored.resumeRun();
+    expectTotalsBitExact(restored.totals(), straight.totals());
+    EXPECT_EQ(restored.renderLog(), straight.renderLog());
 }
 
 // -------------------------------------------------- crafted queue images
