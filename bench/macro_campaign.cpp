@@ -178,6 +178,15 @@ constexpr std::uint32_t kShardedPool = 650;
 constexpr std::uint32_t kShardedPrimeRounds = 2;
 constexpr std::uint32_t kShardedPrimeLaunch = 300;
 
+// Flag ranges. Storm requests stream through the window loop, so only
+// time grows with them; open-loop instants are all materialized up
+// front, so that cap bounds memory (~150 bytes per request).
+constexpr std::uint32_t kMaxHosts = 1'000'000;
+constexpr std::uint64_t kMaxRequests = 1'000'000'000;
+constexpr std::uint64_t kMaxOpenLoopRequests = 10'000'000;
+constexpr std::uint32_t kMaxPrimeRounds = 1000;
+constexpr std::uint64_t kMaxStorms = 1000;
+
 /**
  * One lane's script: prime a service hot, pin a concurrency-4 pool
  * with multi-hour requests, then run the storm as a single RouteStorm
@@ -499,11 +508,14 @@ straightMain(const ShardedArgs &a, int argc, char **argv)
  *
  * Sixteen independent open-loop Poisson streams (2500 rps each) have
  * their instants materialized a window at a time — the barrier-clamped
- * generation pattern, pumped stream-at-a-time exactly as the loadgen
- * program pumps its lanes — so the kernel holds a full window of
- * pending arrivals (~2.4M at the default rate) and, crucially, sees
- * each lane's burst land in the MIDDLE of the pending set: only the
- * first lane's pushes arrive in globally sorted order. Each arrival
+ * generation pattern, scheduled stream-at-a-time as ordinary events —
+ * so the kernel holds a full window of pending arrivals (~2.4M at the
+ * default rate) and, crucially, sees each lane's burst land in the
+ * MIDDLE of the pending set: only the first lane's pushes arrive in
+ * globally sorted order. The sharded platform no longer schedules its
+ * arrivals this way (they merge into each lane queue's arrival run,
+ * docs/event-kernel.md), so the duel measures the kernel's scheduling
+ * path only, not the loadgen program's arrival path. Each arrival
  * fires a completion ~50-250 ms out plus a 30 s timeout guard the
  * completion cancels — the reap pattern the kernel documents as its
  * dominant workload. A cancelled guard costs the heap kernel a full
@@ -522,7 +534,8 @@ openLoopMain(int argc, char **argv)
     std::uint64_t requests = 4'000'000;
     for (int i = 1; i < argc - 1; ++i) {
         if (std::strcmp(argv[i], "--requests") == 0)
-            requests = std::strtoull(argv[i + 1], nullptr, 10);
+            requests = support::uintFlag(argv[i], argv[i + 1], 1,
+                                         kMaxOpenLoopRequests);
     }
     constexpr std::size_t kStreams = 16;
     const double rate_rps = 40000.0;
@@ -653,27 +666,29 @@ shardedMain(int argc, char **argv)
     ShardedArgs a;
     a.threads = support::threadsFromArgs(argc, argv);
     for (int i = 1; i < argc - 1; ++i) {
-        if (std::strcmp(argv[i], "--hosts") == 0)
+        const char *flag = argv[i];
+        const char *value = argv[i + 1];
+        if (std::strcmp(flag, "--hosts") == 0)
             a.hosts = static_cast<std::uint32_t>(
-                std::strtoul(argv[i + 1], nullptr, 10));
-        else if (std::strcmp(argv[i], "--requests") == 0)
-            a.requests = std::strtoull(argv[i + 1], nullptr, 10);
-        else if (std::strcmp(argv[i], "--prime-rounds") == 0)
+                support::uintFlag(flag, value, 1, kMaxHosts));
+        else if (std::strcmp(flag, "--requests") == 0)
+            a.requests = support::uintFlag(flag, value, 0, kMaxRequests);
+        else if (std::strcmp(flag, "--prime-rounds") == 0)
             a.prime_rounds = static_cast<std::uint32_t>(
-                std::strtoul(argv[i + 1], nullptr, 10));
-        else if (std::strcmp(argv[i], "--prime-traffic") == 0)
-            a.prime_traffic = std::strtoull(argv[i + 1], nullptr, 10);
-        else if (std::strcmp(argv[i], "--forked-storms") == 0)
-            a.forked_storms = std::strtoull(argv[i + 1], nullptr, 10);
-        else if (std::strcmp(argv[i], "--straight-storms") == 0)
-            a.straight_storms = std::strtoull(argv[i + 1], nullptr, 10);
-        else if (std::strcmp(argv[i], "--checkpoint") == 0)
-            a.checkpoint = argv[i + 1];
-        else if (std::strcmp(argv[i], "--from-checkpoint") == 0)
-            a.from_checkpoint = argv[i + 1];
+                support::uintFlag(flag, value, 1, kMaxPrimeRounds));
+        else if (std::strcmp(flag, "--prime-traffic") == 0)
+            a.prime_traffic =
+                support::uintFlag(flag, value, 0, kMaxRequests);
+        else if (std::strcmp(flag, "--forked-storms") == 0)
+            a.forked_storms = support::uintFlag(flag, value, 1, kMaxStorms);
+        else if (std::strcmp(flag, "--straight-storms") == 0)
+            a.straight_storms =
+                support::uintFlag(flag, value, 1, kMaxStorms);
+        else if (std::strcmp(flag, "--checkpoint") == 0)
+            a.checkpoint = value;
+        else if (std::strcmp(flag, "--from-checkpoint") == 0)
+            a.from_checkpoint = value;
     }
-    if (a.prime_rounds == 0)
-        a.prime_rounds = 1;
 
     if (a.from_checkpoint != nullptr)
         return fromCheckpointMain(a, argc, argv);

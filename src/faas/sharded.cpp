@@ -59,7 +59,7 @@ ShardedPlatform::ShardedPlatform(const ShardedConfig &cfg,
         obs_set->prepare(lanes);
     lanes_.reserve(lanes);
     for (std::uint32_t i = 0; i < lanes; ++i) {
-        auto lane = std::make_unique<Lane>(cfg_.epoch);
+        auto lane = std::make_unique<Lane>(*this, cfg_.epoch);
         // Per-lane root stream, forked by the *fixed* lane index: the
         // draw sequence is a lane property, never a grouping property.
         lane->orch = std::make_unique<Orchestrator>(
@@ -376,16 +376,21 @@ ShardedPlatform::pumpOpenLoop(Lane &lane, std::size_t idx,
     const ServiceId local_svc = svc_map_[op.service].second;
     const double mean_service_s = op.dur.secondsF();
 
-    std::vector<sim::SimTime> instants;
-    s.cursor.generateUntil(until, instants);
-    for (const sim::SimTime at : instants) {
+    // The stream's arrivals take one block of seqs — the ones
+    // scheduling them one by one would take — and merge into the
+    // queue's arrival run; the churn events after them stay ordinary.
+    std::vector<sim::Arrival> &batch = lane.arrivals;
+    batch.clear();
+    const auto stream = static_cast<std::uint32_t>(idx);
+    s.cursor.forEachUntil(until, [&](sim::SimTime at) {
         const sim::Duration service_time = sim::Duration::fromSecondsF(
             std::max(1e-4, s.service_rng.exponential(mean_service_s)));
-        lane.eq.scheduleAt(at, [&lane, idx, local_svc, service_time] {
-            ++lane.open_loops[idx].generated;
-            lane.orch->admitRequest(local_svc, service_time);
-        });
-    }
+        batch.push_back(sim::Arrival{at, 0, service_time.ns(), stream});
+    });
+    std::uint64_t seq = lane.eq.reserveSeqs(batch.size());
+    for (sim::Arrival &arrival : batch)
+        arrival.seq = seq++;
+    lane.eq.mergeRun(batch);
     while (s.next_churn < until) {
         const sim::SimTime when = s.next_churn;
         lane.eq.scheduleAt(when, [&lane, local_svc] {
@@ -394,6 +399,17 @@ ShardedPlatform::pumpOpenLoop(Lane &lane, std::size_t idx,
         s.next_churn = when + op.gap;
     }
     s.gen_until = until;
+}
+
+void
+ShardedPlatform::onArrival(void *ctx, const sim::Arrival &arrival)
+{
+    Lane &lane = *static_cast<Lane *>(ctx);
+    Lane::OpenLoopStream &s = lane.open_loops[arrival.stream];
+    ++s.generated;
+    const ServiceId global = lane.ops[s.op_index].service;
+    lane.orch->admitRequest(lane.platform->svc_map_[global].second,
+                            sim::Duration::nanos(arrival.service_ns));
 }
 
 void

@@ -267,8 +267,13 @@ class ShardedPlatform
     /** One lane: a private event queue + orchestrator + log buffers. */
     struct Lane
     {
-        explicit Lane(sim::SimTime epoch) : eq(epoch) {}
+        Lane(ShardedPlatform &owner, sim::SimTime epoch)
+            : platform(&owner), eq(epoch)
+        {
+            eq.setArrivalSink(&ShardedPlatform::onArrival, this);
+        }
 
+        ShardedPlatform *platform; //!< owner (the arrival sink's way back)
         sim::EventQueue eq;
         std::unique_ptr<Orchestrator> orch;
         PlacementTrace trace;
@@ -283,10 +288,10 @@ class ShardedPlatform
 
         /**
          * One active open-loop arrival stream. Generation is clamped
-         * to the current window barrier, so no plain-closure arrival
-         * event is ever pending at a capture point — the stream's
-         * forward state is exactly the cursor (rng, origin, pending
-         * instant), which the checkpointer serializes.
+         * to the current window barrier, so the queue's arrival run is
+         * empty at every capture point — the stream's forward state is
+         * exactly the cursor (rng, origin, pending instant), which the
+         * checkpointer serializes.
          */
         struct OpenLoopStream
         {
@@ -299,6 +304,7 @@ class ShardedPlatform
             std::uint64_t generated = 0;
         };
         std::vector<OpenLoopStream> open_loops;
+        std::vector<sim::Arrival> arrivals; //!< pump batch (reused)
         sim::SimTime window_stop; //!< current lane-window stop (not
                                   //!< serialized; set per window)
 
@@ -321,6 +327,8 @@ class ShardedPlatform
     void laneRunWindow(Lane &lane, sim::SimTime stop);
     bool runStorm(Lane &lane, sim::SimTime stop);
     void pumpOpenLoop(Lane &lane, std::size_t idx, sim::SimTime stop);
+    /** Arrival sink of every lane queue (ctx is the Lane). */
+    static void onArrival(void *ctx, const sim::Arrival &arrival);
     void applyOp(Lane &lane, const ShardOp &op);
     void foldBarrier(std::uint32_t window_index);
     void noteCreated(Lane &lane);

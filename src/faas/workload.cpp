@@ -184,10 +184,7 @@ void
 ArrivalCursor::generateUntil(sim::SimTime until,
                              std::vector<sim::SimTime> &out)
 {
-    while (next_ < until) {
-        out.push_back(next_);
-        advance();
-    }
+    forEachUntil(until, [&out](sim::SimTime at) { out.push_back(at); });
 }
 
 void

@@ -131,6 +131,17 @@ class ArrivalCursor
     void generateUntil(sim::SimTime until,
                        std::vector<sim::SimTime> &out);
 
+    /** Call @p fn(instant) for every arrival instant < @p until. */
+    template <typename Fn>
+    void
+    forEachUntil(sim::SimTime until, Fn &&fn)
+    {
+        while (next_ < until) {
+            fn(next_);
+            advance();
+        }
+    }
+
     /** The pre-drawn next arrival instant. */
     sim::SimTime next() const { return next_; }
 

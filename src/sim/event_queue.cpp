@@ -5,6 +5,8 @@
 
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -178,10 +180,42 @@ EventQueue::scheduleAfter(Duration delay, EventTag tag, Callback cb)
     return scheduleAt(now_ + delay, tag, std::move(cb));
 }
 
+void
+EventQueue::mergeRun(std::vector<Arrival> &batch)
+{
+    if (batch.empty())
+        return;
+    EAAO_ASSERT(sink_ != nullptr, "arrival run without a sink");
+    EAAO_ASSERT(batch.front().when >= now_, "arrival run merged into the "
+                "past: ", batch.front().when.str(), " < ", now_.str());
+    EAAO_ASSERT(std::is_sorted(batch.begin(), batch.end(),
+                               earlier<Arrival, Arrival>),
+                "arrival batch not sorted by (when, seq)");
+    scheduled_ += batch.size();
+    if (run_head_ == run_.size()) {
+        // Nothing left unfired: the batch becomes the run, and the
+        // caller gets the drained buffer back for its next batch.
+        run_.clear();
+        run_head_ = 0;
+        run_.swap(batch);
+        return;
+    }
+    merge_.clear();
+    merge_.reserve(run_.size() - run_head_ + batch.size());
+    std::merge(run_.begin() + static_cast<std::ptrdiff_t>(run_head_),
+               run_.end(), batch.begin(), batch.end(),
+               std::back_inserter(merge_), earlier<Arrival, Arrival>);
+    run_.swap(merge_);
+    run_head_ = 0;
+    batch.clear();
+}
+
 bool
 EventQueue::exportImage(EventQueueImage &out) const
 {
     out = EventQueueImage{};
+    if (run_head_ < run_.size())
+        return false; // unfired arrivals: the image has no run table
     out.now_ns = now_.ns();
     out.next_seq = next_seq_;
     out.processed = processed_;
@@ -245,7 +279,7 @@ EventQueue::pending() const
     // matter how many stale heap entries still await compaction.
     EAAO_ASSERT(live_ <= heap_.size() + staging_.size() + wheel_.size(),
                 "more live events than queued entries");
-    return live_;
+    return live_ + (run_.size() - run_head_);
 }
 
 void
@@ -271,45 +305,62 @@ EventQueue::fire(const HeapEntry &top)
 }
 
 void
+EventQueue::drain(SimTime horizon, std::int64_t bound)
+{
+    // Staging is re-checked every iteration: a fired callback may have
+    // scheduled events that sort before the current heap top.
+    while (true) {
+        if (!staging_.empty())
+            flushStaging();
+        const Arrival *head =
+            run_head_ < run_.size() ? &run_[run_head_] : nullptr;
+        if (!wheel_.empty()) {
+            // Wheel entries past the run head's tick cannot fire before
+            // it, so they stay parked instead of deepening the heap. A
+            // frontier already past the bound leaves nothing to sync.
+            const std::int64_t sync =
+                head != nullptr
+                    ? std::min(bound, TimingWheel::tickOf(head->when))
+                    : bound;
+            if (wheel_.frontier() <= sync)
+                syncWheel(sync);
+        }
+        if (!heap_.empty()
+            && (head == nullptr || earlier(heap_.front(), *head))) {
+            if (heap_.front().when > horizon)
+                break;
+            const HeapEntry top = heapPop();
+            if (entryLive(top)) // else a stale entry of a cancelled event
+                fire(top);
+            continue;
+        }
+        if (head == nullptr || head->when > horizon)
+            break;
+        // Copy out first: the sink may merge into the run.
+        const Arrival arrival = *head;
+        ++run_head_;
+        now_ = arrival.when;
+        ++processed_;
+        sink_(sink_ctx_, arrival);
+    }
+}
+
+void
 EventQueue::run()
 {
     // A tick index no event time can reach (SimTime is ns in int64),
     // used as the drain bound when running to quiescence.
     constexpr std::int64_t kNoBound =
         std::numeric_limits<std::int64_t>::max() >> TimingWheel::kTickBits;
-    // Staging is re-checked every iteration: a fired callback may have
-    // scheduled events that sort before the current heap top.
-    while (true) {
-        if (!staging_.empty())
-            flushStaging();
-        if (!wheel_.empty())
-            syncWheel(kNoBound);
-        if (heap_.empty())
-            break;
-        const HeapEntry top = heapPop();
-        if (!entryLive(top))
-            continue; // stale entry of a cancelled event
-        fire(top);
-    }
+    drain(SimTime::fromNanos(std::numeric_limits<std::int64_t>::max()),
+          kNoBound);
 }
 
 void
 EventQueue::runUntil(SimTime horizon)
 {
     EAAO_ASSERT(horizon >= now_, "horizon in the past");
-    const std::int64_t bound = TimingWheel::tickOf(horizon);
-    while (true) {
-        if (!staging_.empty())
-            flushStaging();
-        if (!wheel_.empty())
-            syncWheel(bound);
-        if (heap_.empty() || heap_.front().when > horizon)
-            break;
-        const HeapEntry top = heapPop();
-        if (!entryLive(top))
-            continue;
-        fire(top);
-    }
+    drain(horizon, TimingWheel::tickOf(horizon));
     now_ = horizon;
 }
 

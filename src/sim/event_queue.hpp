@@ -33,6 +33,14 @@
  * everything it holds by (when, seq), so the pop sequence is
  * byte-identical to the pure-heap kernel (constructible with
  * use_wheel = false).
+ *
+ * Open-loop arrivals skip the slab, the wheel and the heap altogether:
+ * a caller that generates them in time order reserves a block of
+ * sequence numbers, and merges the batch into one sorted *arrival run*
+ * (mergeRun). The pop loop fires whichever is smaller by (when, seq),
+ * the heap front or the run head, and hands a run entry to the queue's
+ * arrival sink — so the pop sequence is the one the same arrivals
+ * would produce as scheduled events.
  */
 
 #ifndef EAAO_SIM_EVENT_QUEUE_HPP
@@ -68,6 +76,23 @@ struct EventTag
     std::uint32_t kind = 0;
     std::uint64_t arg = 0;
 };
+
+/**
+ * One open-loop arrival of the sorted arrival run (see mergeRun):
+ * plain data with no slab slot and no callback, since an arrival is
+ * never cancelled. @p stream and @p service_ns are the caller's; the
+ * queue only orders by (when, seq).
+ */
+struct Arrival
+{
+    SimTime when;
+    std::uint64_t seq = 0; //!< from EventQueue::reserveSeqs()
+    std::int64_t service_ns = 0;
+    std::uint32_t stream = 0;
+};
+
+/** Receives each arrival-run entry as it fires, with the sink context. */
+using ArrivalSink = void (*)(void *ctx, const Arrival &arrival);
 
 /**
  * Plain-data image of a queue's complete state (slab, heap, staging
@@ -169,7 +194,38 @@ class EventQueue
      */
     bool cancel(EventId id);
 
-    /** Number of pending (non-cancelled) events. */
+    /**
+     * Hand out @p n consecutive sequence numbers for arrival-run
+     * entries, exactly the ones @p n scheduleAt() calls made here
+     * would have taken. @return the first of them.
+     */
+    std::uint64_t
+    reserveSeqs(std::uint64_t n)
+    {
+        const std::uint64_t first = next_seq_;
+        next_seq_ += n;
+        return first;
+    }
+
+    /**
+     * Merge @p batch — sorted by (when, seq), none before now(), seqs
+     * from reserveSeqs() — into the part of the arrival run that has
+     * not fired yet. Each entry counts as scheduled. @p batch is left
+     * empty (it may get the run's old buffer, so a caller reusing one
+     * batch vector allocates only while the run grows). Needs an
+     * arrival sink.
+     */
+    void mergeRun(std::vector<Arrival> &batch);
+
+    /** Set the sink fired arrival-run entries go to (once per queue). */
+    void
+    setArrivalSink(ArrivalSink sink, void *ctx)
+    {
+        sink_ = sink;
+        sink_ctx_ = ctx;
+    }
+
+    /** Number of pending (non-cancelled) events, arrivals included. */
     std::size_t pending() const;
 
     /** Pre-size the slab and heap for @p n concurrent events. */
@@ -178,7 +234,7 @@ class EventQueue
     /** Events executed by this queue so far (cancelled ones excluded). */
     std::uint64_t processed() const { return processed_; }
 
-    /** Events ever accepted by scheduleAt/scheduleAfter. */
+    /** Events ever accepted by scheduleAt/scheduleAfter/mergeRun. */
     std::uint64_t scheduled() const { return scheduled_; }
 
     /** Events successfully cancelled before firing. */
@@ -199,7 +255,8 @@ class EventQueue
     /**
      * Export the queue's complete state as plain data. Fails (returns
      * false) when a live event carries no EventTag — an untagged
-     * callback cannot be rebound on restore.
+     * callback cannot be rebound on restore — or while the arrival run
+     * holds an entry that has not fired (the image has no room for it).
      */
     bool exportImage(EventQueueImage &out) const;
 
@@ -208,7 +265,8 @@ class EventQueue
      * live slot's callback through @p rebind(kind, arg) -> Callback.
      * The slab, heap, staging buffer, free-list, counters, sequence
      * numbers and clock are restored verbatim, so EventIds handed out
-     * before the capture stay valid afterwards.
+     * before the capture stay valid afterwards. The arrival run starts
+     * empty, as it was at export; the arrival sink is kept.
      */
     template <typename Rebind>
     void
@@ -246,6 +304,8 @@ class EventQueue
         for (const EventQueueImage::EntryImage &e : img.staging)
             staging_.push_back(entry(e));
         free_ = img.free_list;
+        run_.clear();
+        run_head_ = 0;
         wheel_.reset(img.wheel_frontier);
         for (const EventQueueImage::WheelEntryImage &w : img.wheel) {
             if (use_wheel_) {
@@ -302,8 +362,9 @@ class EventQueue
     }
 
     /** True when entry @p a fires strictly before @p b. */
+    template <typename A, typename B>
     static bool
-    earlier(const HeapEntry &a, const HeapEntry &b)
+    earlier(const A &a, const B &b)
     {
         if (a.when != b.when)
             return a.when < b.when;
@@ -340,6 +401,12 @@ class EventQueue
     void fire(const HeapEntry &top);
 
     /**
+     * Fire events up to @p horizon (tick @p bound), merging the heap
+     * and the arrival run by (when, seq). The body of run/runUntil.
+     */
+    void drain(SimTime horizon, std::int64_t bound);
+
+    /**
      * Surface wheel entries so the heap front is the global minimum:
      * every bucket due at or before min(@p bound_tick, the heap
      * front's tick) is dumped into the heap (stale entries die on the
@@ -360,6 +427,11 @@ class EventQueue
     std::vector<std::uint32_t> free_;  //!< recycled slot indices
     TimingWheel wheel_;                //!< near-future parking lot
     bool use_wheel_ = true;
+    std::vector<Arrival> run_;         //!< sorted arrival run
+    std::size_t run_head_ = 0;         //!< next unfired run entry
+    std::vector<Arrival> merge_;       //!< mergeRun's output buffer
+    ArrivalSink sink_ = nullptr;
+    void *sink_ctx_ = nullptr;
 };
 
 } // namespace eaao::sim

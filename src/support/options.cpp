@@ -5,8 +5,11 @@
 
 #include "support/options.hpp"
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -14,19 +17,38 @@
 
 namespace eaao::support {
 
+std::optional<std::uint64_t>
+parseUint(std::string_view text, std::uint64_t lo, std::uint64_t hi)
+{
+    const char *end = text.data() + text.size();
+    std::uint64_t value = 0;
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || value < lo || value > hi)
+        return std::nullopt;
+    return value;
+}
+
+std::uint64_t
+uintFlag(const char *flag, const char *text, std::uint64_t lo,
+         std::uint64_t hi)
+{
+    if (const auto value = parseUint(text, lo, hi))
+        return *value;
+    std::fprintf(stderr, "%s expects an integer in %llu..%llu, got '%s'\n",
+                 flag, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi), text);
+    std::exit(2);
+}
+
 namespace {
 
-/** Parse a strictly positive integer; 0 on failure. */
+/** Parse a strictly positive thread count; 0 on failure. */
 unsigned
 parsePositive(const char *text)
 {
-    if (text == nullptr || *text == '\0')
-        return 0;
-    char *end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == nullptr || *end != '\0' || v <= 0)
-        return 0;
-    return static_cast<unsigned>(v);
+    return static_cast<unsigned>(
+        parseUint(text, 1, std::numeric_limits<unsigned>::max())
+            .value_or(0));
 }
 
 } // namespace

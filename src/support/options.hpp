@@ -22,10 +22,28 @@
 #ifndef EAAO_SUPPORT_OPTIONS_HPP
 #define EAAO_SUPPORT_OPTIONS_HPP
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace eaao::support {
+
+/**
+ * Parse all of @p text as a decimal integer in [@p lo, @p hi] with
+ * std::from_chars: no sign, no whitespace, nothing after the digits.
+ * nullopt for anything else, an out-of-range value included.
+ */
+std::optional<std::uint64_t> parseUint(std::string_view text,
+                                       std::uint64_t lo, std::uint64_t hi);
+
+/**
+ * The value @p text given to integer flag @p flag, parsed by
+ * parseUint. A bad value prints one line naming the flag and the range
+ * on stderr and exits 2.
+ */
+std::uint64_t uintFlag(const char *flag, const char *text,
+                       std::uint64_t lo, std::uint64_t hi);
 
 /**
  * Default worker-thread count: EAAO_THREADS if set and positive,

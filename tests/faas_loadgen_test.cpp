@@ -365,5 +365,89 @@ TEST(ShardedOpenLoop, StreamsSurviveCheckpointRestore)
     EXPECT_EQ(ref.renderLog(), resumed.renderLog());
 }
 
+/**
+ * Two overlapping streams on lane 0: one from 1 min for 4 min, and one
+ * from 1 min 10 s — mid-window — for 2 min. The second stream's first
+ * batch merges into a partly fired arrival run, and every later window
+ * merges its batch into the first stream's unfired one.
+ */
+std::vector<ShardOp>
+overlappingOps(ShardedPlatform &platform, sim::SimTime &horizon)
+{
+    using Kind = ShardOp::Kind;
+    const AccountId acct = platform.createAccount(0, 1000);
+    std::vector<ShardOp> ops;
+    std::uint32_t step = 0;
+    for (const int start_s : {60, 70}) {
+        const ServiceId svc = platform.deployService(acct, ExecEnv::Gen1);
+        ShardOp ol;
+        ol.kind = Kind::OpenLoop;
+        ol.at = sim::SimTime() + sim::Duration::seconds(start_s);
+        ol.step = step++;
+        ol.service = svc;
+        ol.account = acct;
+        ol.a = start_s == 60 ? 0 : 2; // Poisson, then Pareto
+        ol.rate = 80.0;
+        ol.burst = 2.5;
+        ol.dur = sim::Duration::millis(150);
+        ol.span = sim::Duration::minutes(start_s == 60 ? 4 : 2);
+        ops.push_back(ol);
+    }
+    horizon = sim::SimTime() + sim::Duration::minutes(6);
+    return ops;
+}
+
+/** Arrivals an op's stream produces, drawn apart from the platform. */
+std::uint64_t
+arrivalCount(const ShardOp &op, std::uint64_t seed)
+{
+    // The stream seed ShardedPlatform::applyOp derives for this op.
+    sim::Rng rng(sim::mix64(seed ^ 0x0a1e00000000ULL ^
+                            (static_cast<std::uint64_t>(op.step) << 20) ^
+                            op.service));
+    ArrivalCursor cursor(openLoopSpec(op), rng.fork(0x0a1e0001), op.at);
+    std::vector<sim::SimTime> instants;
+    cursor.generateUntil(op.at + op.span, instants);
+    return instants.size();
+}
+
+TEST(ShardedOpenLoop, OverlappingStreamsMergeOnOneLane)
+{
+    std::string logs[2];
+    int i = 0;
+    for (const unsigned threads : {1u, 4u}) {
+        ShardedPlatform platform(shardedConfig(threads));
+        sim::SimTime horizon;
+        const std::vector<ShardOp> ops = overlappingOps(platform, horizon);
+        ASSERT_EQ(platform.laneForOp(ops[0]), platform.laneForOp(ops[1]));
+        platform.run(ops, horizon);
+        logs[i++] = platform.renderLog();
+
+        const std::uint64_t want = arrivalCount(ops[0], 777) +
+                                   arrivalCount(ops[1], 777);
+        EXPECT_GT(arrivalCount(ops[1], 777), 0u);
+        EXPECT_EQ(platform.totals().open_loop, want);
+        EXPECT_EQ(platform.laneOrchestrator(0).sloStats().admitted, want);
+    }
+    EXPECT_EQ(logs[0], logs[1]);
+
+    // Capture pre-fold at the 2.5 min barrier, with both streams live,
+    // and restore into another grouping.
+    ShardedPlatform ref(shardedConfig(2));
+    sim::SimTime horizon;
+    ref.beginRun(overlappingOps(ref, horizon), horizon);
+    for (std::uint32_t w = 0; w < 4; ++w) {
+        ref.advanceWindow();
+        ref.completeWindow();
+    }
+    ref.advanceWindow();
+    const std::vector<std::uint8_t> image = snap::Snapshotter::capture(ref);
+    ShardedPlatform resumed(shardedConfig(5));
+    std::string error;
+    ASSERT_TRUE(snap::Snapshotter::restore(image, resumed, error)) << error;
+    resumed.resumeRun();
+    EXPECT_EQ(resumed.renderLog(), logs[0]);
+}
+
 } // namespace
 } // namespace eaao::faas

@@ -14,6 +14,7 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
+#include "sim/timing_wheel.hpp"
 
 namespace eaao::sim {
 namespace {
@@ -352,6 +353,274 @@ TEST(EventQueue, PropertyMatchesReferenceOverRandomOps)
     ref.run();
     EXPECT_EQ(arena_trace, ref_trace);
     EXPECT_EQ(arena.pending(), 0u);
+}
+
+/**
+ * Lock-step driver for the arrival run: one EventQueue with scheduled
+ * events and merged arrival batches, and one std::multimap keyed by
+ * (when, seq) that holds both kinds, with seqs handed out in the
+ * kernel's order. An arrival whose service_ns is non-zero schedules a
+ * follow-up event that far out when it fires, as an admitted request
+ * schedules its completion.
+ */
+struct RunHarness
+{
+    struct Item
+    {
+        int tag = 0;
+        bool arrival = false;
+        std::int64_t follow_ns = 0;
+    };
+    using Key = std::pair<std::int64_t, std::uint64_t>;
+
+    explicit RunHarness(bool use_wheel) : q(SimTime(), use_wheel)
+    {
+        q.setArrivalSink(&RunHarness::onArrival, this);
+    }
+
+    static void
+    onArrival(void *ctx, const Arrival &a)
+    {
+        auto &h = *static_cast<RunHarness *>(ctx);
+        const int tag = static_cast<int>(a.stream);
+        h.trace.emplace_back(tag, h.q.now().ns());
+        if (a.service_ns != 0)
+            h.record(a.when + Duration::nanos(a.service_ns), ~tag);
+    }
+
+    /** Schedule a tagged (snapshot-safe) event that traces @p t. */
+    EventId
+    record(SimTime when, int t)
+    {
+        return q.scheduleAt(when, EventTag{1, 0}, [this, t] {
+            trace.emplace_back(t, q.now().ns());
+        });
+    }
+
+    EventId
+    schedule(SimTime when)
+    {
+        const int t = tag++;
+        const EventId id = record(when, t);
+        ref.emplace(Key{when.ns(), ref_seq++}, Item{t, false, 0});
+        return id;
+    }
+
+    /** Merge arrivals at @p times (sorted here); every third follows up. */
+    void
+    merge(std::vector<std::int64_t> times, std::int64_t follow_ns)
+    {
+        std::sort(times.begin(), times.end());
+        std::uint64_t seq = q.reserveSeqs(times.size());
+        ASSERT_EQ(seq, ref_seq);
+        ref_seq += times.size();
+        if (arrivals_pending != 0 && arrivals_fired_since_merge != 0)
+            ++merged_into_consumed;
+        std::vector<Arrival> batch;
+        for (const std::int64_t when : times) {
+            const int t = tag++;
+            const std::int64_t follow = t % 3 == 0 ? follow_ns : 0;
+            batch.push_back(Arrival{SimTime::fromNanos(when), seq,
+                                    follow, static_cast<std::uint32_t>(t)});
+            ref.emplace(Key{when, seq}, Item{t, true, follow});
+            ++seq;
+        }
+        q.mergeRun(batch);
+        EXPECT_TRUE(batch.empty());
+        arrivals_pending += times.size();
+        arrivals_fired_since_merge = 0;
+    }
+
+    bool
+    cancel(EventId id, Key key)
+    {
+        const bool ours = q.cancel(id);
+        const auto it = ref.find(key);
+        const bool theirs = it != ref.end();
+        if (theirs)
+            ref.erase(it);
+        return ours == theirs;
+    }
+
+    /** Pop the reference's front, recording coverage of the pop rule. */
+    void
+    refPop()
+    {
+        const auto it = ref.begin();
+        const Key key = it->first;
+        const Item item = it->second;
+        ref.erase(it);
+        ref_now = key.first;
+        ref_trace.emplace_back(item.tag, key.first);
+        if (have_last && item.arrival != last_arrival) {
+            if (key.first == last_when)
+                ++mixed_ties;
+            else if (key.first >> TimingWheel::kTickBits
+                     == last_when >> TimingWheel::kTickBits)
+                ++mixed_same_tick;
+        }
+        have_last = true;
+        last_when = key.first;
+        last_arrival = item.arrival;
+        if (item.arrival) {
+            --arrivals_pending;
+            ++arrivals_fired_since_merge;
+            if (item.follow_ns != 0) {
+                ref.emplace(Key{key.first + item.follow_ns, ref_seq++},
+                            Item{~item.tag, false, 0});
+            }
+        }
+    }
+
+    void
+    runUntil(SimTime horizon)
+    {
+        q.runUntil(horizon);
+        while (!ref.empty() && ref.begin()->first.first <= horizon.ns()) {
+            if (ref.begin()->first.first == horizon.ns()
+                && ref.begin()->second.arrival)
+                ++arrivals_at_horizon;
+            refPop();
+        }
+        ref_now = horizon.ns();
+    }
+
+    void
+    run()
+    {
+        if (arrivals_pending != 0)
+            ++runs_drained;
+        q.run();
+        while (!ref.empty())
+            refPop();
+    }
+
+    /** The kernel and the reference agree on everything observable. */
+    void
+    check(int step)
+    {
+        ASSERT_EQ(trace, ref_trace) << "step " << step;
+        ASSERT_EQ(q.now().ns(), ref_now) << "step " << step;
+        ASSERT_EQ(q.pending(), ref.size()) << "step " << step;
+        ASSERT_EQ(q.scheduled(),
+                  q.processed() + q.cancelled() + q.pending())
+            << "step " << step;
+        ASSERT_EQ(q.processed(), trace.size()) << "step " << step;
+        EventQueueImage img;
+        ASSERT_EQ(q.exportImage(img), arrivals_pending == 0)
+            << "step " << step;
+    }
+
+    EventQueue q;
+    std::multimap<Key, Item> ref;
+    std::int64_t ref_now = 0;
+    std::uint64_t ref_seq = 0;
+    std::vector<std::pair<int, std::int64_t>> trace, ref_trace;
+    int tag = 0;
+
+    std::size_t arrivals_pending = 0;
+    std::size_t arrivals_fired_since_merge = 0;
+    bool have_last = false;
+    bool last_arrival = false;
+    std::int64_t last_when = 0;
+
+    // Coverage of the cases the pop rule must get right.
+    int mixed_ties = 0;          //!< arrival and event at the same when
+    int mixed_same_tick = 0;     //!< arrival and event in one wheel tick
+    int arrivals_at_horizon = 0; //!< arrival exactly at a runUntil horizon
+    int merged_into_consumed = 0; //!< batch merged into a partly fired run
+    int runs_drained = 0;        //!< run() with arrivals pending
+};
+
+TEST(EventQueue, ArrivalRunMatchesMultimapReference)
+{
+    constexpr std::int64_t kTick = std::int64_t(1) << TimingWheel::kTickBits;
+    for (const bool use_wheel : {true, false}) {
+        SCOPED_TRACE(use_wheel ? "wheel kernel" : "pure-heap kernel");
+        Rng rng(use_wheel ? 0xa11e : 0xa11f);
+        RunHarness h(use_wheel);
+        std::vector<std::pair<EventId, RunHarness::Key>> cancellable;
+        std::vector<std::int64_t> recent; // times of recent entries
+        const auto pick = [&rng](std::uint64_t n) {
+            return rng.uniformInt(n);
+        };
+        const auto pickI = [&pick](std::int64_t n) {
+            return static_cast<std::int64_t>(
+                pick(static_cast<std::uint64_t>(n)));
+        };
+        // A time at or after now: due now, sub-tick, a few ticks, far
+        // (cascades), tied with a recent entry, or in a recent entry's
+        // tick.
+        const auto when = [&]() -> std::int64_t {
+            const std::int64_t now = h.q.now().ns();
+            std::int64_t ref_t = now;
+            if (!recent.empty())
+                ref_t = std::max(now, recent[pick(recent.size())]);
+            switch (pick(6)) {
+            case 0:
+                return now;
+            case 1:
+                return now + pickI(kTick);
+            case 2:
+                return now + pickI(8 * kTick);
+            case 3:
+                return now + pickI(4096 * kTick);
+            case 4:
+                return ref_t;
+            default: {
+                const std::int64_t tick_start =
+                    (ref_t >> TimingWheel::kTickBits) << TimingWheel::kTickBits;
+                return std::max(now, tick_start + pickI(kTick));
+            }
+            }
+        };
+
+        for (int step = 0; step < 4000; ++step) {
+            const std::uint64_t kind = pick(20);
+            if (kind < 6) {
+                const std::int64_t t = when();
+                const RunHarness::Key key{t, h.ref_seq};
+                const EventId id = h.schedule(SimTime::fromNanos(t));
+                if (pick(2) == 0)
+                    cancellable.emplace_back(id, key);
+                recent.push_back(t);
+            } else if (kind < 9) {
+                if (!cancellable.empty()) {
+                    const std::uint64_t i = pick(cancellable.size());
+                    const auto [id, key] = cancellable[i];
+                    cancellable.erase(cancellable.begin()
+                                      + static_cast<std::ptrdiff_t>(i));
+                    EXPECT_TRUE(h.cancel(id, key)) << "step " << step;
+                }
+            } else if (kind < 13) {
+                std::vector<std::int64_t> times(pick(13));
+                for (std::int64_t &t : times)
+                    t = when();
+                recent.insert(recent.end(), times.begin(), times.end());
+                h.merge(times, pickI(64 * kTick));
+            } else if (kind < 19) {
+                std::int64_t horizon = when();
+                if (pick(3) == 0 && !h.ref.empty())
+                    horizon = h.ref.begin()->first.first; // exactly a front
+                h.runUntil(SimTime::fromNanos(horizon));
+            } else if (pick(8) == 0) {
+                h.run();
+            }
+            if (recent.size() > 64)
+                recent.erase(recent.begin(), recent.begin() + 32);
+            h.check(step);
+            if (testing::Test::HasFatalFailure())
+                return;
+        }
+        h.run();
+        h.check(-1);
+        EXPECT_EQ(h.q.pending(), 0u);
+        EXPECT_GT(h.mixed_ties, 0);
+        EXPECT_GT(h.mixed_same_tick, 0);
+        EXPECT_GT(h.arrivals_at_horizon, 0);
+        EXPECT_GT(h.merged_into_consumed, 0);
+        EXPECT_GT(h.runs_drained, 0);
+    }
 }
 
 } // namespace

@@ -45,6 +45,7 @@
 
 #include "campaign/spec.hpp"
 #include "exp/trial_runner.hpp"
+#include "support/options.hpp"
 #include "testkit/invariants.hpp"
 #include "testkit/scenario.hpp"
 #include "testkit/shrink.hpp"
@@ -52,6 +53,14 @@
 namespace {
 
 using namespace eaao;
+
+// Flag ranges: the planted faults are 1..6 (0 = none), and the thread,
+// fork and barrier caps keep one command line from asking for an
+// unbounded pool, fan-out or priming run.
+constexpr std::uint64_t kMaxThreads = 256;
+constexpr std::uint64_t kMaxFault = 6;
+constexpr std::uint64_t kMaxForkAt = 1'000'000;
+constexpr std::uint64_t kMaxForks = 1000;
 
 struct Args
 {
@@ -92,46 +101,45 @@ parseArgs(int argc, char **argv)
             usage(argv[0]);
         return argv[++i];
     };
+    // Integer flags parse strictly (support::uintFlag): a value that is
+    // not all digits, or is out of range, exits 2 with one line.
+    constexpr std::uint64_t kAny = ~0ULL;
+    const auto integer = [&](int &i, std::uint64_t lo, std::uint64_t hi) {
+        const char *flag = argv[i];
+        return support::uintFlag(flag, value(i), lo, hi);
+    };
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strcmp(arg, "--seed") == 0)
-            args.seed = std::strtoull(value(i), nullptr, 10);
+            args.seed = integer(i, 0, kAny);
         else if (std::strcmp(arg, "--time-budget") == 0)
             args.time_budget_s = std::strtod(value(i), nullptr);
         else if (std::strcmp(arg, "--max-scenarios") == 0)
-            args.max_scenarios = std::strtoull(value(i), nullptr, 10);
+            args.max_scenarios = integer(i, 1, kAny);
         else if (std::strcmp(arg, "--threads") == 0)
-            args.threads =
-                static_cast<unsigned>(std::strtoul(value(i), nullptr, 10));
+            args.threads = static_cast<unsigned>(integer(i, 1, kMaxThreads));
         else if (std::strcmp(arg, "--verify-every") == 0)
-            args.verify_every = std::strtoull(value(i), nullptr, 10);
+            args.verify_every = integer(i, 0, kAny);
         else if (std::strcmp(arg, "--snapshot-every") == 0)
-            args.snapshot_every = std::strtoull(value(i), nullptr, 10);
+            args.snapshot_every = integer(i, 0, kAny);
         else if (std::strcmp(arg, "--inject-fault") == 0)
             args.inject_fault =
-                static_cast<std::uint32_t>(std::strtoul(value(i), nullptr, 10));
+                static_cast<std::uint32_t>(integer(i, 0, kMaxFault));
         else if (std::strcmp(arg, "--out") == 0)
             args.out_dir = value(i);
         else if (std::strcmp(arg, "--replay") == 0)
             args.replay_path = value(i);
         else if (std::strcmp(arg, "--fork-at") == 0)
-            args.fork_at = static_cast<std::uint32_t>(
-                std::strtoul(value(i), nullptr, 10));
+            args.fork_at =
+                static_cast<std::uint32_t>(integer(i, 0, kMaxForkAt));
         else if (std::strcmp(arg, "--forks") == 0)
-            args.forks = static_cast<std::uint32_t>(
-                std::strtoul(value(i), nullptr, 10));
+            args.forks = static_cast<std::uint32_t>(integer(i, 1, kMaxForks));
         else if (std::strcmp(arg, "--fork-budget") == 0)
-            args.fork_budget = static_cast<std::uint32_t>(
-                std::strtoul(value(i), nullptr, 10));
+            args.fork_budget =
+                static_cast<std::uint32_t>(integer(i, 1, kMaxForks));
         else
             usage(argv[0]);
     }
-    if (args.threads == 0)
-        args.threads = 1;
-    if (args.forks == 0)
-        args.forks = 1;
-    if (args.fork_budget == 0)
-        args.fork_budget = 1;
     return args;
 }
 
