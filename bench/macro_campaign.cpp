@@ -60,11 +60,13 @@
  * (tools/compare_benchmarks.py --assert-speedup).
  */
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "channel/covert.hpp"
@@ -715,12 +717,54 @@ shardedMain(int argc, char **argv)
     return 0;
 }
 
+/**
+ * Exit 2 with one stderr line on an argument this binary does not
+ * take, or on a value flag with nothing after it. Each mode reads the
+ * flags it knows from argv itself; this check runs first, so a typo
+ * can no longer run a default campaign.
+ */
+void
+checkArgs(int argc, char **argv)
+{
+    static constexpr std::array<std::string_view, 3> kSwitches = {
+        "--sharded", "--open-loop", "--legacy"};
+    static constexpr std::array<std::string_view, 10> kValueFlags = {
+        "--threads",        "--bench-json",      "--hosts",
+        "--requests",       "--prime-rounds",    "--prime-traffic",
+        "--forked-storms",  "--straight-storms", "--checkpoint",
+        "--from-checkpoint"};
+    const auto known = [](const auto &names, std::string_view arg) {
+        return std::find(names.begin(), names.end(), arg) != names.end();
+    };
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        if (known(kSwitches, arg))
+            continue;
+        if (known(kValueFlags, arg)) {
+            if (++i >= argc) {
+                std::fprintf(stderr, "macro_campaign: missing value for %s\n",
+                             argv[i - 1]);
+                std::exit(2);
+            }
+            continue;
+        }
+        // --threads=N and --bench-json=F: the support:: readers take
+        // the joined spelling too.
+        const std::string_view name = arg.substr(0, arg.find('='));
+        if (name != arg && (name == "--threads" || name == "--bench-json"))
+            continue;
+        std::fprintf(stderr, "macro_campaign: unknown flag %s\n", argv[i]);
+        std::exit(2);
+    }
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace eaao;
+    checkArgs(argc, argv);
     bool legacy = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--sharded") == 0)

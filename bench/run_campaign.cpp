@@ -145,7 +145,7 @@ main(int argc, char **argv)
         } else if (arg.rfind("--", 0) == 0) {
             std::fprintf(stderr, "run_campaign: unknown flag %s\n",
                          arg.c_str());
-            return usage(stderr);
+            return 2;
         } else {
             file = arg;
         }

@@ -24,8 +24,6 @@ Orchestrator::Orchestrator(Fleet &fleet, sim::EventQueue &eq,
       pricing_(pricing), rng_(rng), obs_(obs)
 {
     host_load_.assign(fleet_.size());
-    acct_load_.resize(fleet_.size());
-    svc_load_.resize(fleet_.size());
 
     slo_.latency_s.bounds = obs::requestLatencyBucketsS();
     slo_.latency_s.counts.assign(slo_.latency_s.bounds.size() + 1, 0);
@@ -77,6 +75,7 @@ Orchestrator::createAccount(std::optional<std::uint32_t> shard,
     acct.base_order =
         buildBaseOrder(acct, profile_.base_order_jitter, stream);
     accounts_.push_back(std::move(acct));
+    acct_host_load_.emplace_back(fleet_.size(), 0u);
     base_index_.emplace_back();
     acct_active_.emplace_back();
     base_epoch_.push_back(1);
@@ -95,19 +94,14 @@ Orchestrator::deployService(AccountId account, ExecEnv env,
     svc.account = account;
     svc.env = env;
     svc.size = size;
+    // The helper and spill orders are built at the first pick that
+    // needs them (helperOrder / spillOrder).
     svc.helper_seed =
         sim::mix64(0x5e1fbeef00000000ULL + svc.id * 2654435761ULL);
-    svc.helper_order =
-        buildHelperOrder(accounts_[account].shard, svc.helper_seed);
-    svc.spill_order = buildSpillOrder(accounts_[account].shard,
-                                      sim::mix64(svc.helper_seed));
     services_.push_back(std::move(svc));
     admission_.emplace_back();
     helper_views_.emplace_back();
-    if (cfg_.reference_scan)
-        svc_host_load_.emplace_back();
-    else
-        svc_host_load_.emplace_back(fleet_.size(), 0u);
+    svc_host_load_.emplace_back(fleet_.size(), 0u);
     return services_.back().id;
 }
 
@@ -655,12 +649,12 @@ Orchestrator::createInstance(ServiceRecord &svc, std::uint32_t h)
     acct.spend_usd += startup * pricing_.usdPerActiveSecond(inst.size);
 
     host_load_.add(host, inst.size.vcpus, inst.size.memory_gb);
-    const std::uint32_t acct_on_host = ++acct_load_[host][inst.account];
-    ++svc_load_[host][inst.service];
+    const std::uint32_t acct_on_host = ++acct_host_load_[inst.account][host];
+    const std::uint32_t svc_on_host = ++svc_host_load_[inst.service][host];
     ++acct.live_count;
     if (!cfg_.reference_scan) {
         base_index_[inst.account].noteLoad(host, acct_on_host);
-        noteServiceLoad(inst, ++svc_host_load_[inst.service][host]);
+        noteServiceLoad(inst, svc_on_host);
     }
 
     svc.active.push_back(inst.id);
@@ -685,7 +679,7 @@ Orchestrator::createInstance(ServiceRecord &svc, std::uint32_t h)
 }
 
 hw::HostId
-Orchestrator::pickHost(const ServiceRecord &svc, const AccountRecord &acct,
+Orchestrator::pickHost(ServiceRecord &svc, const AccountRecord &acct,
                        std::uint32_t h, PlacementReason &reason)
 {
     if (h > 0) {
@@ -770,6 +764,7 @@ Orchestrator::pickBaseHostReference(const ServiceRecord &svc,
         static_cast<double>(acct.live_count + 1) / cfg_.spread_target));
     prefix = std::clamp<std::size_t>(prefix, 1, order.size());
 
+    const std::vector<std::uint32_t> &load_of = acct_host_load_[acct.id];
     while (true) {
         const hw::HostId *best = nullptr;
         std::uint32_t best_load = 0;
@@ -777,9 +772,7 @@ Orchestrator::pickBaseHostReference(const ServiceRecord &svc,
             const hw::HostId hid = order[i];
             if (!hasCapacity(hid, svc.size))
                 continue;
-            const auto &loads = acct_load_[hid];
-            const auto it = loads.find(acct.id);
-            const std::uint32_t load = it == loads.end() ? 0 : it->second;
+            const std::uint32_t load = load_of[hid];
             if (best == nullptr || load < best_load) {
                 best = &order[i];
                 best_load = load;
@@ -794,10 +787,10 @@ Orchestrator::pickBaseHostReference(const ServiceRecord &svc,
 }
 
 std::optional<hw::HostId>
-Orchestrator::pickHelperHost(const ServiceRecord &svc,
+Orchestrator::pickHelperHost(ServiceRecord &svc,
                              const AccountRecord &acct, std::uint32_t h)
 {
-    const auto &helpers = svc.helper_order;
+    const std::vector<hw::HostId> &helpers = helperOrder(svc);
     if (helpers.empty())
         return std::nullopt;
 
@@ -859,16 +852,15 @@ Orchestrator::pickHelperHostReference(const ServiceRecord &svc,
                                       std::size_t base_prefix,
                                       std::size_t helper_prefix) const
 {
-    const auto &helpers = svc.helper_order;
+    const auto &helpers = svc.helper_order; // built by pickHelperHost
+    const std::vector<std::uint32_t> &load_of = svc_host_load_[svc.id];
     while (true) {
         const hw::HostId *best = nullptr;
         std::uint32_t best_load = 0;
         auto consider = [&](const hw::HostId &hid) {
             if (!hasCapacity(hid, svc.size))
                 return;
-            const auto &loads = svc_load_[hid];
-            const auto it = loads.find(svc.id);
-            const std::uint32_t load = it == loads.end() ? 0 : it->second;
+            const std::uint32_t load = load_of[hid];
             if (best == nullptr || load < best_load) {
                 best = &hid;
                 best_load = load;
@@ -889,14 +881,14 @@ Orchestrator::pickHelperHostReference(const ServiceRecord &svc,
 }
 
 std::optional<hw::HostId>
-Orchestrator::pickSpillHost(const ServiceRecord &svc) const
+Orchestrator::pickSpillHost(ServiceRecord &svc)
 {
     // Leaked cold placements go to a small, service-specific random
     // set of hosts (NOT the popular helper layer): leaks of different
     // accounts therefore almost never collide, matching the paper's 0%
     // naive cross-account result in us-central1 — while a victim's own
     // leaks escape a same-shard attacker (the 81% case).
-    const auto &order = svc.spill_order;
+    const std::vector<hw::HostId> &order = spillOrder(svc);
     if (order.empty())
         return std::nullopt;
 
@@ -907,9 +899,7 @@ Orchestrator::pickSpillHost(const ServiceRecord &svc) const
         cfg_.spread_target));
     prefix = std::clamp<std::size_t>(prefix, 1, order.size());
 
-    const std::uint32_t *dense =
-        cfg_.reference_scan ? nullptr : svc_host_load_[svc.id].data();
-
+    const std::vector<std::uint32_t> &load_of = svc_host_load_[svc.id];
     while (true) {
         const hw::HostId *best = nullptr;
         std::uint32_t best_load = 0;
@@ -917,14 +907,7 @@ Orchestrator::pickSpillHost(const ServiceRecord &svc) const
             const hw::HostId hid = order[i];
             if (!hasCapacity(hid, svc.size))
                 continue;
-            std::uint32_t load;
-            if (dense != nullptr) {
-                load = dense[hid];
-            } else {
-                const auto &loads = svc_load_[hid];
-                const auto it = loads.find(svc.id);
-                load = it == loads.end() ? 0 : it->second;
-            }
+            const std::uint32_t load = load_of[hid];
             if (best == nullptr || load < best_load) {
                 best = &order[i];
                 best_load = load;
@@ -997,16 +980,13 @@ Orchestrator::terminate(InstanceRecord &inst)
 
     AccountRecord &acct = accounts_[inst.account];
     host_load_.sub(inst.host, inst.size.vcpus, inst.size.memory_gb);
-    auto &acct_loads = acct_load_[inst.host];
-    const std::uint32_t acct_on_host = --acct_loads[inst.account];
-    if (acct_on_host == 0)
-        acct_loads.erase(inst.account);
-    auto &svc_loads = svc_load_[inst.host];
-    if (--svc_loads[inst.service] == 0)
-        svc_loads.erase(inst.service);
+    const std::uint32_t acct_on_host =
+        --acct_host_load_[inst.account][inst.host];
+    const std::uint32_t svc_on_host =
+        --svc_host_load_[inst.service][inst.host];
     if (!cfg_.reference_scan) {
         base_index_[inst.account].noteLoad(inst.host, acct_on_host);
-        noteServiceLoad(inst, --svc_host_load_[inst.service][inst.host]);
+        noteServiceLoad(inst, svc_on_host);
     }
     EAAO_ASSERT(acct.live_count > 0, "live-count underflow");
     --acct.live_count;
@@ -1077,12 +1057,9 @@ Orchestrator::noteServiceLoad(const InstanceRecord &inst,
 void
 Orchestrator::rebuildBaseIndex(const AccountRecord &acct)
 {
-    base_index_[acct.id].rebuild(
-        acct.base_order, fleet_.size(), [&](hw::HostId hid) {
-            const auto &loads = acct_load_[hid];
-            const auto it = loads.find(acct.id);
-            return it == loads.end() ? 0u : it->second;
-        });
+    const std::vector<std::uint32_t> &load = acct_host_load_[acct.id];
+    base_index_[acct.id].rebuild(acct.base_order, fleet_.size(),
+                                 [&](hw::HostId hid) { return load[hid]; });
 }
 
 bool
@@ -1143,17 +1120,21 @@ Orchestrator::buildBaseOrder(const AccountRecord &acct, double jitter,
     return order;
 }
 
-std::vector<hw::HostId>
-Orchestrator::buildHelperOrder(std::uint32_t home_shard,
-                               std::uint64_t seed) const
+const std::vector<hw::HostId> &
+Orchestrator::helperOrder(ServiceRecord &svc)
 {
+    std::vector<hw::HostId> &out = svc.helper_order;
+    if (svc.helper_built)
+        return out;
+    svc.helper_built = true;
+    const std::uint32_t home_shard = accounts_[svc.account].shard;
     // Helper candidates: every host outside the home shard, ordered by
     // within-shard popularity with per-service jitter. The front of
     // every helper list thus interleaves the popular hosts of all
     // shards (which is what makes the optimized strategy cover victim
     // base hosts so well), while the jitter keeps helper sets of
     // different services overlapping-but-distinct (Observation 6).
-    sim::Rng stream(seed);
+    sim::Rng stream(svc.helper_seed);
     struct Keyed
     {
         double key;
@@ -1178,24 +1159,28 @@ Orchestrator::buildHelperOrder(std::uint32_t home_shard,
                       return a.key < b.key;
                   return a.host < b.host;
               });
-    std::vector<hw::HostId> out;
+    out.clear();
     out.reserve(keyed.size());
     for (const auto &k : keyed)
         out.push_back(k.host);
     return out;
 }
 
-std::vector<hw::HostId>
-Orchestrator::buildSpillOrder(std::uint32_t home_shard,
-                              std::uint64_t seed) const
+const std::vector<hw::HostId> &
+Orchestrator::spillOrder(ServiceRecord &svc)
 {
-    std::vector<hw::HostId> out;
+    std::vector<hw::HostId> &out = svc.spill_order;
+    if (svc.spill_built)
+        return out;
+    svc.spill_built = true;
+    const std::uint32_t home_shard = accounts_[svc.account].shard;
+    out.clear();
     for (hw::HostId hid = 0; hid < fleet_.size(); ++hid) {
         const bool home = fleet_.shardOf(hid) == home_shard;
         if (cfg_.isolate_accounts ? home : !home)
             out.push_back(hid);
     }
-    sim::Rng stream(seed);
+    sim::Rng stream(sim::mix64(svc.helper_seed));
     for (std::size_t i = out.size(); i > 1; --i) {
         const std::size_t j =
             stream.uniformInt(static_cast<std::uint64_t>(i));
@@ -1230,18 +1215,9 @@ Orchestrator::rebuildDerivedState()
     // Restores bypass deployService; queue contents (if any) are
     // restored separately by the snapshotter after this runs.
     admission_.resize(services_.size());
-    acct_load_.assign(fleet_.size(),
-                      support::SmallFlatMap<AccountId, std::uint32_t>{});
-    svc_load_.assign(fleet_.size(),
-                     support::SmallFlatMap<ServiceId, std::uint32_t>{});
-    svc_host_load_.clear();
-    svc_host_load_.reserve(services_.size());
-    for (std::size_t i = 0; i < services_.size(); ++i) {
-        if (cfg_.reference_scan)
-            svc_host_load_.emplace_back();
-        else
-            svc_host_load_.emplace_back(fleet_.size(), 0u);
-    }
+    const std::vector<std::uint32_t> zeros(fleet_.size(), 0u);
+    acct_host_load_.assign(accounts_.size(), zeros);
+    svc_host_load_.assign(services_.size(), zeros);
     acct_active_.assign(accounts_.size(), {});
     // Keep the restored activation counter; re-key every Active
     // instance with its original route_seq (finishRestore() puts them
@@ -1250,16 +1226,13 @@ Orchestrator::rebuildDerivedState()
     for (const InstanceRecord &inst : instances_) {
         if (inst.state == InstanceState::Terminated)
             continue;
-        ++acct_load_[inst.host][inst.account];
-        ++svc_load_[inst.host][inst.service];
-        if (!cfg_.reference_scan) {
-            ++svc_host_load_[inst.service][inst.host];
-            if (inst.state == InstanceState::Active) {
-                routing_.insertRestored(inst.service, inst.id,
-                                        inst.in_flight, inst.route_seq);
-                // instances_ is id-ordered, so pushes arrive sorted.
-                acct_active_[inst.account].push_back(inst.id);
-            }
+        ++acct_host_load_[inst.account][inst.host];
+        ++svc_host_load_[inst.service][inst.host];
+        if (!cfg_.reference_scan && inst.state == InstanceState::Active) {
+            routing_.insertRestored(inst.service, inst.id, inst.in_flight,
+                                    inst.route_seq);
+            // instances_ is id-ordered, so pushes arrive sorted.
+            acct_active_[inst.account].push_back(inst.id);
         }
     }
     routing_.finishRestore();
@@ -1289,26 +1262,28 @@ Orchestrator::refreshPreferences(ServiceRecord &svc, AccountRecord &acct)
 #if EAAO_OBS_ENABLED
         // Helper-set churn: fraction of the previous helper prefix (the
         // ~50 hosts a hot service actually reaches) absent from the new
-        // one. Pure observation — computed only when a registry is on.
+        // one. Pure observation — both orders are built for it only
+        // when a registry is on.
         const std::vector<hw::HostId> prev_helpers =
-            h_helper_churn_ != nullptr ? svc.helper_order
+            h_helper_churn_ != nullptr ? helperOrder(svc)
                                        : std::vector<hw::HostId>{};
 #endif
+        // New seed; both orders rebuild from it at their next pick.
         svc.helper_seed = stream();
-        svc.helper_order = buildHelperOrder(acct.shard, svc.helper_seed);
+        svc.helper_built = false;
+        svc.spill_built = false;
         helper_views_[svc.id].helper_current = false;
-        svc.spill_order =
-            buildSpillOrder(acct.shard, sim::mix64(svc.helper_seed));
 #if EAAO_OBS_ENABLED
         if (h_helper_churn_ != nullptr && !prev_helpers.empty()) {
+            const std::vector<hw::HostId> &helpers = helperOrder(svc);
             const std::size_t prefix = std::min<std::size_t>(
-                {50, prev_helpers.size(), svc.helper_order.size()});
+                {50, prev_helpers.size(), helpers.size()});
             if (prefix > 0) {
                 std::size_t kept = 0;
-                const auto new_end = svc.helper_order.begin() +
-                                     static_cast<std::ptrdiff_t>(prefix);
+                const auto new_end =
+                    helpers.begin() + static_cast<std::ptrdiff_t>(prefix);
                 for (std::size_t i = 0; i < prefix; ++i) {
-                    kept += std::find(svc.helper_order.begin(), new_end,
+                    kept += std::find(helpers.begin(), new_end,
                                       prev_helpers[i]) != new_end;
                 }
                 h_helper_churn_->observe(

@@ -38,7 +38,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "support/chunked_table.hpp"
-#include "support/flat_map.hpp"
 #include "support/soa.hpp"
 
 namespace eaao::snap {
@@ -195,8 +194,18 @@ struct ServiceRecord
     /** Requests one instance serves concurrently (Cloud Run default
      *  in the paper's setup: one connection per instance). */
     std::uint32_t max_concurrency = 1;
-    std::vector<hw::HostId> helper_order;    //!< helper preference list
-    std::vector<hw::HostId> spill_order;     //!< cold-leak destinations
+    /**
+     * Helper preference list and cold-leak destinations. Both are pure
+     * functions of the account's shard and helper_seed (plus the fleet
+     * and profile), so they are built on first use
+     * (Orchestrator::helperOrder / spillOrder) and never serialized.
+     * The flags, not empty(), say whether an order is built: a built
+     * order may be empty.
+     */
+    std::vector<hw::HostId> helper_order;
+    std::vector<hw::HostId> spill_order;
+    bool helper_built = false;
+    bool spill_built = false;
     std::deque<std::pair<sim::SimTime, std::uint32_t>> bursts;
     /** Creation instants from the request path (burst aggregation). */
     std::deque<sim::SimTime> request_creations;
@@ -444,10 +453,11 @@ class Orchestrator
                                           std::uint64_t arg);
 
     /**
-     * Rebuild every derived table (per-host account/service load maps,
-     * routing-index entries, per-account active sets, dense per-service
-     * host loads, placement min-views) from the restored primary
-     * records. The routing index's next_seq must already be restored.
+     * Rebuild every derived table (dense per-account and per-service
+     * host loads, routing-index entries, per-account active sets,
+     * placement min-views) from the restored primary records. Helper
+     * and spill orders stay unbuilt until their next pick. The routing
+     * index's next_seq must already be restored.
      */
     void rebuildDerivedState();
 
@@ -458,7 +468,7 @@ class Orchestrator
     InstanceId createInstance(ServiceRecord &svc, std::uint32_t hotness);
 
     /** Pick a host for a new instance, reporting the path taken. */
-    hw::HostId pickHost(const ServiceRecord &svc,
+    hw::HostId pickHost(ServiceRecord &svc,
                         const AccountRecord &acct, std::uint32_t hotness,
                         PlacementReason &reason);
 
@@ -478,7 +488,7 @@ class Orchestrator
      * the base hosts without abandoning them). Answered from the
      * service's HelperViews, (re)built here when stale.
      */
-    std::optional<hw::HostId> pickHelperHost(const ServiceRecord &svc,
+    std::optional<hw::HostId> pickHelperHost(ServiceRecord &svc,
                                              const AccountRecord &acct,
                                              std::uint32_t hotness);
 
@@ -490,8 +500,7 @@ class Orchestrator
                             std::size_t helper_prefix) const;
 
     /** Dynamic-DC cold spill: a random host off the base set. */
-    std::optional<hw::HostId> pickSpillHost(const ServiceRecord &svc)
-        const;
+    std::optional<hw::HostId> pickSpillHost(ServiceRecord &svc);
 
     /** Schedule the idle-reap event for an instance. */
     void scheduleReap(InstanceRecord &inst);
@@ -576,13 +585,11 @@ class Orchestrator
                                            double jitter,
                                            sim::Rng &rng) const;
 
-    /** Build/refresh a per-service helper order. */
-    std::vector<hw::HostId> buildHelperOrder(std::uint32_t home_shard,
-                                             std::uint64_t seed) const;
+    /** @p svc's helper order, built from its helper_seed on first use. */
+    const std::vector<hw::HostId> &helperOrder(ServiceRecord &svc);
 
-    /** Build/refresh a per-service cold-spill order (uniform random). */
-    std::vector<hw::HostId> buildSpillOrder(std::uint32_t home_shard,
-                                            std::uint64_t seed) const;
+    /** @p svc's cold-spill order (uniform random), built on first use. */
+    const std::vector<hw::HostId> &spillOrder(ServiceRecord &svc);
 
     /** Apply per-launch dynamism (us-central1 style), if configured. */
     void refreshPreferences(ServiceRecord &svc, AccountRecord &acct);
@@ -627,17 +634,17 @@ class Orchestrator
     support::HostLoadSoA host_load_;
     const support::HostLoadSoA *committed_load_ = nullptr;
     /**
-     * Per-host instance count by account / by service (live
-     * instances). Host-local cardinality is ~10 (Obs 1), so a sorted
-     * vector beats a hash table on the placement hot path and iterates
-     * deterministically.
+     * Live-instance counts per host, dense: [account][host] (allocated
+     * at createAccount) and [service][host] (at deployService). The one
+     * count both the indexed and the reference_scan paths read; the
+     * base and helper min-views are keyed by them.
      */
-    std::vector<support::SmallFlatMap<AccountId, std::uint32_t>> acct_load_;
-    std::vector<support::SmallFlatMap<ServiceId, std::uint32_t>> svc_load_;
+    std::vector<std::vector<std::uint32_t>> acct_host_load_;
+    std::vector<std::vector<std::uint32_t>> svc_host_load_;
 
     /**
      * Incremental decision indexes (empty shells when
-     * cfg_.reference_scan — the maps above stay the source of truth
+     * cfg_.reference_scan — the counts above stay the source of truth
      * either way; see docs/performance.md for the invariants).
      */
     RoutingIndex routing_;                        //!< least-loaded routing
@@ -646,9 +653,6 @@ class Orchestrator
      *  incremental spend query sums in the same order the legacy full
      *  scan did — bit-identical doubles). */
     std::vector<std::vector<InstanceId>> acct_active_;
-    /** Per service: dense per-host live-instance counts (the key of
-     *  the helper-pick views; one array read per spill candidate). */
-    std::vector<std::vector<std::uint32_t>> svc_host_load_;
 
     /**
      * Per service: the two min-views pickHelperHost answers from, both

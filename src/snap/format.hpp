@@ -44,8 +44,10 @@ inline constexpr char kMagic[8] = {'E', 'A', 'A', 'O', 'S', 'N', 'A', 'P'};
  * open-loop arrival cursors to the per-lane sections. Version 3 keeps
  * the layout but moves the wheel tick from 2^20 to 2^23 ns, so a v2
  * image's (level, slot) placements would land in the wrong buckets.
+ * Version 4 drops each service's helper and spill orders from the
+ * service record (they are rebuilt from helper_seed on first use).
  */
-inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /** Section identifiers (id 0x100 + lane for per-lane sections). */
 inline constexpr std::uint32_t kSectionMeta = 1;

@@ -6,9 +6,12 @@
  * orchestrator (accounts, services, instances, RNG position, routing
  * sequence counter, host-load columns) are stored verbatim — every
  * double as its IEEE-754 bit pattern — while the *derived* tables
- * (per-host load maps, routing-index entries, per-account active
- * sets, placement min-views) are rebuilt deterministically by
- * Orchestrator::rebuildDerivedState() after restore. Event-queue
+ * (dense per-host load counts, routing-index entries, per-account
+ * active sets, placement min-views) are rebuilt deterministically by
+ * Orchestrator::rebuildDerivedState() after restore. A service's
+ * helper and spill orders are not stored either: they are pure
+ * functions of its helper_seed and fingerprinted configuration, and
+ * rebuild at the service's next pick. Event-queue
  * callbacks are serialized as EventTags and rebound through
  * Orchestrator::rebindEvent().
  */
@@ -609,8 +612,6 @@ Snapshotter::captureLane(const faas::ShardedPlatform::Lane &lane,
         out.putU8(static_cast<std::uint8_t>(svc.env));
         out.putU8(sizeIndex(svc.size));
         out.putU32(svc.max_concurrency);
-        putU32Vec(out, svc.helper_order);
-        putU32Vec(out, svc.spill_order);
         out.putU64(svc.bursts.size());
         for (const auto &[when, count] : svc.bursts) {
             out.putI64(when.ns());
@@ -877,9 +878,7 @@ Snapshotter::restoreLane(SectionReader &in,
         std::uint64_t bursts = 0, creations = 0;
         if (!in.getU32(svc.id) || !in.getU32(svc.account) ||
             !in.getU8(env) || !in.getU8(size) ||
-            !in.getU32(svc.max_concurrency) ||
-            !getU32Vec(in, svc.helper_order) ||
-            !getU32Vec(in, svc.spill_order) || !in.getU64(bursts))
+            !in.getU32(svc.max_concurrency) || !in.getU64(bursts))
             return bail("lane service table");
         if (env > 1 || !sizeFromIndex(size, svc.size)) {
             error = "corrupt snapshot: bad service record";

@@ -6,6 +6,7 @@
 #include "support/options.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,6 +38,22 @@ uintFlag(const char *flag, const char *text, std::uint64_t lo,
     std::fprintf(stderr, "%s expects an integer in %llu..%llu, got '%s'\n",
                  flag, static_cast<unsigned long long>(lo),
                  static_cast<unsigned long long>(hi), text);
+    std::exit(2);
+}
+
+double
+secondsFlag(const char *flag, const char *text)
+{
+    const char *end = text + std::strlen(text);
+    double value = 0.0;
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec == std::errc() && ptr == end && std::isfinite(value) &&
+        value >= 0.0)
+        return value;
+    std::fprintf(stderr,
+                 "%s expects a finite, non-negative number of seconds, "
+                 "got '%s'\n",
+                 flag, text);
     std::exit(2);
 }
 

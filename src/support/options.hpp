@@ -46,6 +46,13 @@ std::uint64_t uintFlag(const char *flag, const char *text,
                        std::uint64_t lo, std::uint64_t hi);
 
 /**
+ * The value @p text given to duration flag @p flag: all of it must
+ * parse (std::from_chars) as a finite, non-negative number of seconds.
+ * A bad value prints one line naming the flag on stderr and exits 2.
+ */
+double secondsFlag(const char *flag, const char *text);
+
+/**
  * Default worker-thread count: EAAO_THREADS if set and positive,
  * otherwise std::thread::hardware_concurrency() (min 1).
  */

@@ -1,10 +1,11 @@
 #!/bin/sh
-# macro_campaign and fuzz_scenarios refuse a bad integer flag value the
-# way every binary must: exit 2, nothing on stdout, and exactly one
-# stderr line naming the flag. A value is bad unless the whole token
+# macro_campaign and fuzz_scenarios refuse a bad flag value the way
+# every binary must: exit 2, nothing on stdout, and exactly one stderr
+# line naming the flag. An integer value is bad unless the whole token
 # is decimal digits inside the flag's range, so a sign, a suffix, an
 # overflow or an out-of-range number is refused before any work
-# starts.
+# starts; `--time-budget` must be a finite, non-negative number of
+# seconds. An unknown flag is refused the same way.
 #
 #   int_flags_test.sh MACRO_CAMPAIGN FUZZ_SCENARIOS
 set -u
@@ -26,6 +27,23 @@ reject() {
        ! grep -q -e "^$flag " "$dir/stderr"; then
         echo "$*: rc=$rc, stdout ${#out} bytes, $lines stderr lines" \
              "(want rc=2, empty stdout, one '$flag' line)"
+        sed 's/^/  stderr: /' "$dir/stderr"
+        status=1
+    fi
+}
+
+# unknown FLAG BIN ARGS...: exit 2, empty stdout, one stderr line
+# that names FLAG as unknown.
+unknown() {
+    flag="$1"
+    shift
+    out="$("$@" 2>"$dir/stderr")"
+    rc=$?
+    lines="$(wc -l < "$dir/stderr")"
+    if [ "$rc" -ne 2 ] || [ -n "$out" ] || [ "$lines" -ne 1 ] ||
+       ! grep -q -e ": unknown flag $flag\$" "$dir/stderr"; then
+        echo "$*: rc=$rc, stdout ${#out} bytes, $lines stderr lines" \
+             "(want rc=2, empty stdout, one 'unknown flag $flag' line)"
         sed 's/^/  stderr: /' "$dir/stderr"
         status=1
     fi
@@ -61,5 +79,19 @@ reject --inject-fault "$fuzz" --inject-fault 7
 reject --fork-at "$fuzz" --fork-at 1.5
 reject --forks "$fuzz" --forks 0
 reject --fork-budget "$fuzz" --fork-budget 99999999999
+# --time-budget x used to read as 0 s and report a clean, empty run.
+reject --time-budget "$fuzz" --time-budget x
+reject --time-budget "$fuzz" --time-budget -1
+reject --time-budget "$fuzz" --time-budget 5s
+reject --time-budget "$fuzz" --time-budget ""
+reject --time-budget "$fuzz" --time-budget nan
+
+# An unknown flag used to be ignored (macro_campaign ran its default
+# campaign) or answered with the whole usage text (fuzz_scenarios).
+unknown --bogus "$macro" --sharded --hosts 5000 --requests 1000 --bogus 1
+unknown --bogus "$macro" --bogus 1
+unknown --shards "$macro" --shards 4
+unknown --bogus "$fuzz" --bogus 1
+unknown --shards "$fuzz" --shards 4
 
 exit $status

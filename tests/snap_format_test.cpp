@@ -199,12 +199,18 @@ TEST(SnapFormat, RejectsNewerFormatVersion)
 
 TEST(SnapFormat, RejectsOlderFormatVersion)
 {
-    // Older images are refused, not reinterpreted: a v2 image's wheel
+    // Older images are refused, not reinterpreted: a v3 image carries
+    // the helper and spill orders v4 rebuilds, and a v2 image's wheel
     // placements assume the old 2^20 ns tick.
     std::vector<std::uint8_t> image = twoSectionImage();
     image[8] = static_cast<std::uint8_t>(kFormatVersion - 1); // LE u32
     std::string error;
     SnapshotReader r;
+    EXPECT_FALSE(r.parse(image, error));
+    EXPECT_EQ(error.rfind("snapshot format v3 is older", 0), 0u) << error;
+    EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+
+    image[8] = 2;
     EXPECT_FALSE(r.parse(image, error));
     EXPECT_EQ(error.rfind("snapshot format v2 is older", 0), 0u) << error;
 

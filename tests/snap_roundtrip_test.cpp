@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -440,6 +441,116 @@ TEST(SnapRoundTrip, RestoresInstanceTableSpanningChunks)
     restored.resumeRun();
     expectTotalsBitExact(restored.totals(), straight.totals());
     EXPECT_EQ(restored.renderLog(), straight.renderLog());
+}
+
+TEST(SnapRoundTrip, OrdersRebuildAfterRestore)
+{
+    // Helper and spill orders are not in the image: a restored service
+    // rebuilds them from its helper_seed at its next pick. Two
+    // us-central1 services on lane 0 launch cold (spill picks), then
+    // relaunch from their idle pools only, which re-seeds both orders
+    // without a pick. Capture A comes before any pick, capture B after
+    // the re-seed; each image restores at another grouping and runs a
+    // hot burst (helper picks) and a cold relaunch (spill picks). The
+    // placement trace must equal the straight run's, so an order kept
+    // from a stale seed shows up as a different host.
+    using Kind = faas::ShardOp::Kind;
+    const auto config = [](unsigned threads) {
+        faas::ShardedConfig cfg;
+        cfg.profile = faas::DataCenterProfile::usCentral1();
+        cfg.seed = 1818;
+        cfg.threads = threads;
+        return cfg;
+    };
+    const auto build = [](faas::ShardedPlatform &platform) {
+        const faas::AccountId acct = platform.createAccount(0, 1000);
+        const faas::ServiceId hot =
+            platform.deployService(acct, faas::ExecEnv::Gen1);
+        const faas::ServiceId cold =
+            platform.deployService(acct, faas::ExecEnv::Gen1);
+        std::vector<faas::ShardOp> ops;
+        const auto push = [&](faas::ServiceId svc, Kind kind,
+                              std::int64_t at_s, std::uint32_t n) {
+            faas::ShardOp op;
+            op.kind = kind;
+            op.at = sim::SimTime() + sim::Duration::seconds(at_s);
+            op.step = static_cast<std::uint32_t>(ops.size());
+            op.service = svc;
+            op.account = acct;
+            op.a = n;
+            ops.push_back(op);
+        };
+        // Two bursts of >= hot_burst_min make `hot` hot at 360 s; the
+        // bursts of `cold` stay below it, so its relaunch is cold.
+        push(hot, Kind::Connect, 120, 150);
+        push(cold, Kind::Connect, 120, 40);
+        push(hot, Kind::Disconnect, 180, 0);
+        push(cold, Kind::Disconnect, 180, 0);
+        push(hot, Kind::Connect, 240, 120); // idle pool only: re-seed
+        push(cold, Kind::Connect, 240, 40); // idle pool only: re-seed
+        push(hot, Kind::Disconnect, 300, 0);
+        push(cold, Kind::Disconnect, 300, 0);
+        push(hot, Kind::Connect, 360, 400);
+        push(cold, Kind::Connect, 360, 99);
+        return ops;
+    };
+    const sim::SimTime horizon = sim::SimTime() + sim::Duration::minutes(10);
+
+    faas::ShardedPlatform straight(config(2));
+    straight.run(build(straight), horizon);
+    const std::string want = straight.renderLog();
+    // Both pick kinds happen after the later capture point (330 s).
+    const auto picksAfterCapture = [&want](const char *why) {
+        std::istringstream in(want);
+        std::size_t n = 0;
+        for (std::string line; std::getline(in, line);) {
+            const std::size_t t = line.find(" t=");
+            if (t != std::string::npos &&
+                line.find(why) != std::string::npos &&
+                std::stoll(line.substr(t + 3)) > 330'000'000'000LL)
+                ++n;
+        }
+        return n;
+    };
+    EXPECT_GT(picksAfterCapture("why=hot-helper"), 100u);
+    EXPECT_GT(picksAfterCapture("why=cold-spill"), 0u);
+
+    // Capture point: the pre-fold barrier of window @p windows
+    // (30 s each), i.e. at windows * 30 s.
+    for (const int windows : {2, 11}) {
+        faas::ShardedPlatform platform(config(2));
+        platform.beginRun(build(platform), horizon);
+        for (int w = 1; w < windows; ++w) {
+            platform.advanceWindow();
+            platform.completeWindow();
+        }
+        platform.advanceWindow();
+        const faas::Orchestrator &live = platform.laneOrchestrator(0);
+        if (windows == 11) {
+            // The reuse-only launches re-seeded both services.
+            EXPECT_FALSE(live.service(0).helper_built);
+            EXPECT_FALSE(live.service(1).spill_built);
+            EXPECT_GT(live.instanceCount(), 0u);
+        } else {
+            EXPECT_EQ(live.instanceCount(), 0u);
+        }
+        const std::vector<std::uint8_t> image =
+            Snapshotter::capture(platform);
+
+        faas::ShardedPlatform restored(config(3));
+        std::string error;
+        ASSERT_TRUE(Snapshotter::restore(image, restored, error)) << error;
+        for (const faas::ServiceId svc : {0u, 1u}) {
+            const faas::ServiceRecord &rec =
+                restored.laneOrchestrator(0).service(svc);
+            EXPECT_FALSE(rec.helper_built || rec.spill_built)
+                << "service " << svc << " at window " << windows;
+            EXPECT_EQ(rec.helper_seed, live.service(svc).helper_seed);
+        }
+        restored.resumeRun();
+        EXPECT_EQ(restored.renderLog(), want)
+            << "captured at window " << windows;
+    }
 }
 
 // -------------------------------------------------- crafted queue images

@@ -78,27 +78,33 @@ struct Args
     std::uint32_t fork_budget = 8; //!< max steps per generated suffix
 };
 
+/** `--help`: the usage text on stdout, exit 0. */
 [[noreturn]] void
 usage(const char *argv0)
 {
-    std::fprintf(
-        stderr,
+    std::printf(
         "usage: %s [--seed S] [--time-budget SECONDS] [--max-scenarios N]\n"
         "          [--threads N] [--verify-every N]\n"
         "          [--snapshot-every N] [--inject-fault K]\n"
         "          [--out DIR] [--replay FILE]\n"
         "          [--fork-at B] [--forks N] [--fork-budget M]\n",
         argv0);
-    std::exit(2);
+    std::exit(0);
 }
 
 Args
 parseArgs(int argc, char **argv)
 {
     Args args;
+    // Bad input exits 2 with one stderr line: an unknown flag, a flag
+    // without its value, or a value that does not parse.
+    const auto refuse = [](const char *what, const char *arg) {
+        std::fprintf(stderr, "fuzz_scenarios: %s %s\n", what, arg);
+        std::exit(2);
+    };
     const auto value = [&](int &i) -> const char * {
         if (i + 1 >= argc)
-            usage(argv[0]);
+            refuse("missing value for", argv[i]);
         return argv[++i];
     };
     // Integer flags parse strictly (support::uintFlag): a value that is
@@ -113,7 +119,7 @@ parseArgs(int argc, char **argv)
         if (std::strcmp(arg, "--seed") == 0)
             args.seed = integer(i, 0, kAny);
         else if (std::strcmp(arg, "--time-budget") == 0)
-            args.time_budget_s = std::strtod(value(i), nullptr);
+            args.time_budget_s = support::secondsFlag(arg, value(i));
         else if (std::strcmp(arg, "--max-scenarios") == 0)
             args.max_scenarios = integer(i, 1, kAny);
         else if (std::strcmp(arg, "--threads") == 0)
@@ -137,8 +143,11 @@ parseArgs(int argc, char **argv)
         else if (std::strcmp(arg, "--fork-budget") == 0)
             args.fork_budget =
                 static_cast<std::uint32_t>(integer(i, 1, kMaxForks));
-        else
+        else if (std::strcmp(arg, "--help") == 0 ||
+                 std::strcmp(arg, "-h") == 0)
             usage(argv[0]);
+        else
+            refuse("unknown flag", arg);
     }
     return args;
 }
