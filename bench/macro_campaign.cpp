@@ -35,7 +35,8 @@
  * clock against the single-group record (bench names
  * `macro_campaign_sharded` vs `macro_campaign_sharded_s1`).
  *
- * Checkpoint modes (all imply --sharded; docs/checkpoint.md):
+ * Checkpoint modes (each needs --sharded, and they exclude each
+ * other; docs/checkpoint.md):
  *
  *  --checkpoint FILE       run the campaign, capture an eaao-snap image
  *                          at the last priming barrier, write it to
@@ -717,45 +718,113 @@ shardedMain(int argc, char **argv)
     return 0;
 }
 
+/** The three modes, as bits: a flag is valid in a set of them. */
+enum Mode : unsigned
+{
+    kDefaultMode = 1u << 0, //!< neither --sharded nor --open-loop
+    kShardedMode = 1u << 1,
+    kOpenLoopMode = 1u << 2,
+};
+
+struct FlagSpec
+{
+    std::string_view name;
+    bool takes_value;
+    unsigned modes;  //!< Mode bits the flag applies to
+    bool run_kind;   //!< one of the exclusive --sharded run kinds
+};
+
+constexpr std::array<FlagSpec, 13> kFlags = {{
+    {"--sharded", false, kShardedMode, false},
+    {"--open-loop", false, kOpenLoopMode, false},
+    {"--legacy", false, kDefaultMode, false},
+    {"--threads", true, kDefaultMode | kShardedMode, false},
+    {"--bench-json", true, kDefaultMode | kShardedMode | kOpenLoopMode,
+     false},
+    {"--requests", true, kShardedMode | kOpenLoopMode, false},
+    {"--hosts", true, kShardedMode, false},
+    {"--prime-rounds", true, kShardedMode, false},
+    {"--prime-traffic", true, kShardedMode, false},
+    {"--checkpoint", true, kShardedMode, true},
+    {"--from-checkpoint", true, kShardedMode, true},
+    {"--forked-storms", true, kShardedMode, true},
+    {"--straight-storms", true, kShardedMode, true},
+}};
+
+[[noreturn]] void
+refuse(const std::string &message)
+{
+    std::fprintf(stderr, "macro_campaign: %s\n", message.c_str());
+    std::exit(2);
+}
+
 /**
- * Exit 2 with one stderr line on an argument this binary does not
- * take, or on a value flag with nothing after it. Each mode reads the
- * flags it knows from argv itself; this check runs first, so a typo
- * can no longer run a default campaign.
+ * Return the mode the first --sharded / --open-loop selects. Exit 2
+ * with one stderr line on an argument this binary does not take, on a
+ * value flag with nothing after it, or on a flag of another mode — a
+ * flag no mode reads would otherwise be ignored in silence. The
+ * --sharded run kinds (--checkpoint, --from-checkpoint,
+ * --forked-storms, --straight-storms) exclude each other the same
+ * way. Each mode reads the flags it knows from argv itself; this check
+ * runs first, so no work starts on a bad command line.
  */
-void
+Mode
 checkArgs(int argc, char **argv)
 {
-    static constexpr std::array<std::string_view, 3> kSwitches = {
-        "--sharded", "--open-loop", "--legacy"};
-    static constexpr std::array<std::string_view, 10> kValueFlags = {
-        "--threads",        "--bench-json",      "--hosts",
-        "--requests",       "--prime-rounds",    "--prime-traffic",
-        "--forked-storms",  "--straight-storms", "--checkpoint",
-        "--from-checkpoint"};
-    const auto known = [](const auto &names, std::string_view arg) {
-        return std::find(names.begin(), names.end(), arg) != names.end();
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        if (known(kSwitches, arg))
-            continue;
-        if (known(kValueFlags, arg)) {
-            if (++i >= argc) {
-                std::fprintf(stderr, "macro_campaign: missing value for %s\n",
-                             argv[i - 1]);
-                std::exit(2);
-            }
-            continue;
+    const auto spec = [](std::string_view arg) -> const FlagSpec * {
+        for (const FlagSpec &f : kFlags) {
+            if (f.name == arg)
+                return &f;
         }
-        // --threads=N and --bench-json=F: the support:: readers take
-        // the joined spelling too.
-        const std::string_view name = arg.substr(0, arg.find('='));
-        if (name != arg && (name == "--threads" || name == "--bench-json"))
-            continue;
-        std::fprintf(stderr, "macro_campaign: unknown flag %s\n", argv[i]);
-        std::exit(2);
+        return nullptr;
+    };
+    // Pass 1: every argument is known and every value is present.
+    std::vector<const FlagSpec *> given;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        const FlagSpec *f = spec(arg);
+        if (f == nullptr) {
+            // --threads=N and --bench-json=F: the support:: readers
+            // take the joined spelling too.
+            const std::string name = arg.substr(0, arg.find('='));
+            if (name != arg && (name == "--threads" || name == "--bench-json"))
+                f = spec(name);
+        } else if (f->takes_value && ++i >= argc) {
+            refuse("missing value for " + arg);
+        }
+        if (f == nullptr)
+            refuse("unknown flag " + arg);
+        given.push_back(f);
     }
+    // Pass 2: every flag belongs to the mode the first --sharded or
+    // --open-loop selects, and at most one run kind is given.
+    const FlagSpec *mode_flag = nullptr;
+    for (const FlagSpec *f : given) {
+        if (mode_flag == nullptr &&
+            (f->name == "--sharded" || f->name == "--open-loop"))
+            mode_flag = f;
+    }
+    const Mode mode = mode_flag != nullptr
+                          ? static_cast<Mode>(mode_flag->modes)
+                          : kDefaultMode;
+    const FlagSpec *run_kind = nullptr;
+    for (const FlagSpec *f : given) {
+        const std::string name(f->name);
+        if ((f->modes & mode) == 0) {
+            if (mode_flag != nullptr)
+                refuse(name + " does not apply to " +
+                       std::string(mode_flag->name));
+            refuse(name + ((f->modes & kOpenLoopMode) != 0
+                               ? " needs --sharded or --open-loop"
+                               : " needs --sharded"));
+        }
+        if (f->run_kind && run_kind != nullptr && run_kind != f)
+            refuse(name + " does not apply to " +
+                   std::string(run_kind->name));
+        if (f->run_kind)
+            run_kind = f;
+    }
+    return mode;
 }
 
 } // namespace
@@ -764,13 +833,13 @@ int
 main(int argc, char **argv)
 {
     using namespace eaao;
-    checkArgs(argc, argv);
+    const Mode mode = checkArgs(argc, argv);
+    if (mode == kShardedMode)
+        return shardedMain(argc, argv);
+    if (mode == kOpenLoopMode)
+        return openLoopMain(argc, argv);
     bool legacy = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--sharded") == 0)
-            return shardedMain(argc, argv);
-        if (std::strcmp(argv[i], "--open-loop") == 0)
-            return openLoopMain(argc, argv);
         if (std::strcmp(argv[i], "--legacy") == 0)
             legacy = true;
     }

@@ -54,7 +54,7 @@ runVariant(eaao::faas::Platform &platform, eaao::faas::AccountId acct,
 
 } // namespace
 
-EAAO_CAMPAIGN_PROGRAM(fig07_exp2_same_service)
+EAAO_CAMPAIGN_OBS_PROGRAM(fig07_exp2_same_service)
 {
     using namespace eaao;
     const campaign::CampaignSpec &spec = ctx.spec;

@@ -17,7 +17,7 @@
 #include "faas/platform.hpp"
 #include "obs/export.hpp"
 
-EAAO_CAMPAIGN_PROGRAM(fig08_exp3_accounts)
+EAAO_CAMPAIGN_OBS_PROGRAM(fig08_exp3_accounts)
 {
     using namespace eaao;
     const campaign::CampaignSpec &spec = ctx.spec;

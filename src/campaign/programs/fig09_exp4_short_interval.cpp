@@ -62,7 +62,7 @@ runInterval(const eaao::faas::DataCenterProfile &profile,
 
 } // namespace
 
-EAAO_CAMPAIGN_PROGRAM(fig09_exp4_short_interval)
+EAAO_CAMPAIGN_OBS_PROGRAM(fig09_exp4_short_interval)
 {
     using namespace eaao;
     const campaign::CampaignSpec &spec = ctx.spec;

@@ -17,7 +17,7 @@
 #include "faas/platform.hpp"
 #include "obs/export.hpp"
 
-EAAO_CAMPAIGN_PROGRAM(fig10_exp4_episodes)
+EAAO_CAMPAIGN_OBS_PROGRAM(fig10_exp4_episodes)
 {
     using namespace eaao;
     const campaign::CampaignSpec &spec = ctx.spec;

@@ -16,19 +16,36 @@ namespace eaao::campaign {
 
 namespace {
 
-std::map<std::string, ProgramFn> &
+std::map<std::string, Program> &
 registry()
 {
-    static std::map<std::string, ProgramFn> programs;
+    static std::map<std::string, Program> programs;
     return programs;
+}
+
+/**
+ * The first `--trace-json` / `--metrics-json` flag in @p argv, in
+ * either spelling, or an empty string. The environment fallbacks do
+ * not count: a variable set for other runs is not a request.
+ */
+std::string
+obsFlag(int argc, char **argv)
+{
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        const std::string name = arg.substr(0, arg.find('='));
+        if (name == "--trace-json" || name == "--metrics-json")
+            return name;
+    }
+    return {};
 }
 
 } // namespace
 
 void
-registerProgram(const std::string &name, ProgramFn fn)
+registerProgram(const std::string &name, Program program)
 {
-    auto [it, inserted] = registry().emplace(name, std::move(fn));
+    auto [it, inserted] = registry().emplace(name, std::move(program));
     if (!inserted) {
         std::fprintf(stderr,
                      "fatal: campaign program '%s' registered twice\n",
@@ -38,11 +55,11 @@ registerProgram(const std::string &name, ProgramFn fn)
     (void)it;
 }
 
-ProgramFn
+const Program *
 findProgram(const std::string &name)
 {
     const auto it = registry().find(name);
-    return it == registry().end() ? ProgramFn{} : it->second;
+    return it == registry().end() ? nullptr : &it->second;
 }
 
 std::vector<std::string>
@@ -58,8 +75,8 @@ programNames()
 int
 runCampaign(const CampaignSpec &spec, int argc, char **argv)
 {
-    const ProgramFn program = findProgram(spec.program());
-    if (!program) {
+    const Program *program = findProgram(spec.program());
+    if (program == nullptr) {
         std::string known;
         for (const std::string &name : programNames()) {
             known += known.empty() ? "" : ", ";
@@ -68,6 +85,17 @@ runCampaign(const CampaignSpec &spec, int argc, char **argv)
         throw SpecError(spec.file().path +
                         ": unknown program '" + spec.program() +
                         "' (known: " + known + ")");
+    }
+    if (const std::string flag = obsFlag(argc, argv);
+        !flag.empty() && !program->reads_obs) {
+        std::string readers;
+        for (const auto &[name, p] : registry()) {
+            if (p.reads_obs)
+                readers += (readers.empty() ? "" : ", ") + name;
+        }
+        throw SpecError(spec.file().path + ": " + flag + ": program '" +
+                        spec.program() + "' writes no trace or metrics (" +
+                        readers + " do)");
     }
 
     RunContext ctx{spec, support::threadsFromArgs(argc, argv), argc,
@@ -78,7 +106,7 @@ runCampaign(const CampaignSpec &spec, int argc, char **argv)
     if (!spec.title().empty())
         std::printf("%s\n\n", spec.title().c_str());
 
-    program(ctx);
+    program->fn(ctx);
 
     const std::vector<std::string> notes = spec.notes();
     if (!notes.empty()) {

@@ -44,15 +44,28 @@ struct RunContext
 
 using ProgramFn = std::function<void(RunContext &)>;
 
-/**
- * Register @p fn under @p name (called from static initializers in
- * the src/campaign/programs/ kernels via EAAO_CAMPAIGN_PROGRAM).
- * Duplicate names are a programming error and abort.
- */
-void registerProgram(const std::string &name, ProgramFn fn);
+/** A registered campaign kernel. */
+struct Program
+{
+    ProgramFn fn;
+    /**
+     * True when the kernel reads obs::ObsConfig, i.e. writes the
+     * `--trace-json` / `--metrics-json` outputs. runCampaign() refuses
+     * those flags for any other program rather than ignore them.
+     */
+    bool reads_obs = false;
+};
 
-/** The registered kernel, or an empty function when unknown. */
-ProgramFn findProgram(const std::string &name);
+/**
+ * Register @p program under @p name (called from static initializers
+ * in the src/campaign/programs/ kernels via EAAO_CAMPAIGN_PROGRAM or
+ * EAAO_CAMPAIGN_OBS_PROGRAM). Duplicate names are a programming error
+ * and abort.
+ */
+void registerProgram(const std::string &name, Program program);
+
+/** The registered kernel, or nullptr when unknown. */
+const Program *findProgram(const std::string &name);
 
 /** All registered program names, sorted. */
 std::vector<std::string> programNames();
@@ -60,20 +73,29 @@ std::vector<std::string> programNames();
 /**
  * Execute @p spec: resolve the program, print the title, run, then
  * print notes and (if requested) the trigger log. Returns the process
- * exit code; an unknown program name throws SpecError.
+ * exit code. An unknown program name, or an explicit `--trace-json` /
+ * `--metrics-json` flag for a program that writes neither, throws
+ * SpecError before anything is printed.
  */
 int runCampaign(const CampaignSpec &spec, int argc, char **argv);
 
 /** Registers a campaign program at static-init time. */
-#define EAAO_CAMPAIGN_PROGRAM(name)                                       \
+#define EAAO_CAMPAIGN_PROGRAM_AS(name, reads_obs)                         \
     static void eaaoProgram_##name(::eaao::campaign::RunContext &ctx);    \
     namespace {                                                           \
     const bool eaao_registered_##name = [] {                              \
-        ::eaao::campaign::registerProgram(#name, &eaaoProgram_##name);    \
+        ::eaao::campaign::registerProgram(                                \
+            #name, {&eaaoProgram_##name, reads_obs});                     \
         return true;                                                      \
     }();                                                                  \
     }                                                                     \
     static void eaaoProgram_##name(::eaao::campaign::RunContext &ctx)
+
+/** A program that writes no trace or metrics output. */
+#define EAAO_CAMPAIGN_PROGRAM(name) EAAO_CAMPAIGN_PROGRAM_AS(name, false)
+
+/** A program that reads obs::ObsConfig (trace and metrics output). */
+#define EAAO_CAMPAIGN_OBS_PROGRAM(name) EAAO_CAMPAIGN_PROGRAM_AS(name, true)
 
 } // namespace eaao::campaign
 

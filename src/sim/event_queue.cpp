@@ -105,10 +105,9 @@ EventQueue::flushStaging()
 void
 EventQueue::syncWheel(std::int64_t bound_tick)
 {
+    const auto live = [this](const WheelEntry &e) { return entryLive(e); };
     const auto sink = [this](const WheelEntry &e) {
-        const HeapEntry entry{e.when, e.seq, e.slot, e.gen};
-        if (entryLive(entry))
-            heapPush(entry);
+        heapPush(HeapEntry{e.when, e.seq, e.slot, e.gen});
     };
     while (!wheel_.empty()) {
         if (!heap_.empty()) {
@@ -118,10 +117,10 @@ EventQueue::syncWheel(std::int64_t bound_tick)
             std::int64_t limit = TimingWheel::tickOf(heap_.front().when);
             if (limit > bound_tick)
                 limit = bound_tick;
-            wheel_.advanceTo(limit, sink);
+            wheel_.advanceTo(limit, live, sink);
             return;
         }
-        if (!wheel_.advanceOne(bound_tick, sink))
+        if (!wheel_.advanceOne(bound_tick, live, sink))
             return; // nothing due at or before the bound
     }
 }
@@ -232,19 +231,24 @@ EventQueue::exportImage(EventQueueImage &out) const
     const auto entry = [](const HeapEntry &e) {
         return EventQueueImage::EntryImage{e.when.ns(), e.seq, e.slot, e.gen};
     };
+    // The heap goes verbatim (importImage restores the array as a
+    // heap, so dropping its dead entries would need a re-heapify);
+    // staging and the wheel carry live entries only, so an image never
+    // holds a cancelled timer that would only be parked to be dropped.
     out.heap.reserve(heap_.size());
     for (const HeapEntry &e : heap_)
         out.heap.push_back(entry(e));
-    out.staging.reserve(staging_.size());
-    for (const HeapEntry &e : staging_)
-        out.staging.push_back(entry(e));
+    for (const HeapEntry &e : staging_) {
+        if (entryLive(e))
+            out.staging.push_back(entry(e));
+    }
     out.free_list = free_;
     out.wheel_frontier = wheel_.frontier();
-    out.wheel.reserve(wheel_.size());
-    wheel_.forEach([&out](const WheelEntry &e, std::uint8_t level,
-                          std::uint8_t wslot) {
-        out.wheel.push_back(EventQueueImage::WheelEntryImage{
-            e.when.ns(), e.seq, e.slot, e.gen, level, wslot});
+    wheel_.forEach([this, &out](const WheelEntry &e, std::uint8_t level,
+                                std::uint8_t wslot) {
+        if (entryLive(e))
+            out.wheel.push_back(EventQueueImage::WheelEntryImage{
+                e.when.ns(), e.seq, e.slot, e.gen, level, wslot});
     });
     return true;
 }

@@ -16,9 +16,10 @@
  * contiguous vector, fed through an unsorted staging buffer that is
  * flushed only when the queue needs to pop — so a schedule+cancel
  * pair (the dominant reap pattern) usually never sifts at all. A
- * cancelled event's entry is dropped at flush time or lazily when it
- * surfaces (its generation no longer matches the slot's), while its
- * slot and callback are reclaimed immediately. Callbacks are
+ * cancelled event's entry is dropped at flush time, at the first
+ * wheel cascade or dump it meets, or lazily when it surfaces in the
+ * heap (its generation no longer matches the slot's), while its slot
+ * and callback are reclaimed immediately. Callbacks are
  * small-buffer-optimized (see inplace_callback.hpp) so the common
  * simulator lambdas never touch the allocator. See
  * docs/event-kernel.md.
@@ -253,10 +254,13 @@ class EventQueue
     void advance(Duration d);
 
     /**
-     * Export the queue's complete state as plain data. Fails (returns
-     * false) when a live event carries no EventTag — an untagged
-     * callback cannot be rebound on restore — or while the arrival run
-     * holds an entry that has not fired (the image has no room for it).
+     * Export the queue's complete state as plain data. Staging and
+     * wheel entries of cancelled events are left out; the heap array
+     * is written verbatim, dead entries included, since importImage()
+     * takes it as a heap. Fails (returns false) when a live event
+     * carries no EventTag — an untagged callback cannot be rebound on
+     * restore — or while the arrival run holds an entry that has not
+     * fired (the image has no room for it).
      */
     bool exportImage(EventQueueImage &out) const;
 
@@ -265,8 +269,10 @@ class EventQueue
      * live slot's callback through @p rebind(kind, arg) -> Callback.
      * The slab, heap, staging buffer, free-list, counters, sequence
      * numbers and clock are restored verbatim, so EventIds handed out
-     * before the capture stay valid afterwards. The arrival run starts
-     * empty, as it was at export; the arrival sink is kept.
+     * before the capture stay valid afterwards. Dead staging or wheel
+     * entries (images from builds that exported them) are accepted and
+     * die at the first flush, cascade or dump they meet. The arrival
+     * run starts empty, as it was at export; the arrival sink is kept.
      */
     template <typename Rebind>
     void
@@ -371,9 +377,13 @@ class EventQueue
         return a.seq < b.seq;
     }
 
-    /** True when @p e still refers to a pending event. */
+    /**
+     * True when @p e (a heap, staging or wheel entry) still refers to
+     * a pending event.
+     */
+    template <typename Entry>
     bool
-    entryLive(const HeapEntry &e) const
+    entryLive(const Entry &e) const
     {
         const Slot &slot = slots_[e.slot];
         return slot.live && slot.gen == e.gen;
@@ -409,9 +419,10 @@ class EventQueue
     /**
      * Surface wheel entries so the heap front is the global minimum:
      * every bucket due at or before min(@p bound_tick, the heap
-     * front's tick) is dumped into the heap (stale entries die on the
-     * way). With an empty heap the wheel advances action by action
-     * until a live entry lands or nothing is due within the bound.
+     * front's tick) is dumped into the heap (dead entries die at the
+     * first cascade or dump they meet). With an empty heap the wheel
+     * advances action by action until a live entry lands or nothing
+     * is due within the bound.
      */
     void syncWheel(std::int64_t bound_tick);
 

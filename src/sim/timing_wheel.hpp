@@ -7,19 +7,24 @@
  * 2^23 ns ~ 8.4 ms), covering ~537 ms / ~34 s / ~37 min / ~39 h of
  * horizon; anything further stays in the caller's heap. The wheel is
  * a *parking lot*, not a priority queue: advanceTo() dumps every
- * bucket due at or before a target tick into a caller-supplied sink
- * (EventQueue pushes them onto its 4-ary heap), and the heap's total
- * (when, seq) order decides the final pop order. That split keeps the
- * heap no larger than one tick's worth of events while leaving the
- * kernel's pop sequence byte-identical to the pure-heap kernel — the
- * property tests/sim_timing_wheel_test.cpp pins.
+ * live entry due at or before a target tick into a caller-supplied
+ * sink (EventQueue pushes them onto its 4-ary heap), and the heap's
+ * total (when, seq) order decides the final pop order. That split
+ * keeps the heap no larger than one tick's worth of events while
+ * leaving the kernel's pop sequence byte-identical to the pure-heap
+ * kernel — the property tests/sim_timing_wheel_test.cpp pins.
  *
  * Level assignment is by distance: an entry delta = tick - frontier
  * ticks away parks at the level whose span covers delta, in the slot
  * addressed by that level's 6-bit field of the absolute tick. When the
  * frontier crosses a level's window boundary the matching bucket
  * cascades: each drained entry re-inserts against the new frontier,
- * landing one level down (or in the sink when due). The tick is sized
+ * landing one level down (or in the sink when due). The wheel keeps
+ * no event state of its own, so the caller passes a liveness
+ * predicate with every advance: an entry whose event was cancelled
+ * since it parked is dropped at its first cascade (or at the L0 dump,
+ * if it parked there), so a cancelled ~10 min reap timer costs one
+ * insert and one check, not a ripple 2 -> 1 -> 0. The tick is sized
  * so most entries park at their final level: a completion ~100 ms out
  * sits in level 0, and a window's arrivals (at most 30 s ahead) sit in
  * level 1 and cascade once. A non-empty bucket is never skipped —
@@ -67,7 +72,11 @@ class TimingWheel
     /** Next tick the wheel has not yet dumped. */
     std::int64_t frontier() const { return frontier_; }
 
-    /** Parked entries (stale ones included until they cascade out). */
+    /**
+     * Parked entries, dead ones included: an entry whose event was
+     * cancelled stays counted until its bucket next acts (a cascade
+     * or the L0 dump), which drops it.
+     */
     std::size_t size() const { return count_; }
 
     bool empty() const { return count_ == 0; }
@@ -80,16 +89,19 @@ class TimingWheel
     bool insert(const WheelEntry &e);
 
     /**
-     * Dump every entry due at or before @p target into @p sink and
-     * advance the frontier to target + 1. Entries of the same tick
-     * arrive in unspecified order — the caller's heap restores the
-     * total (when, seq) order. No-op when target < frontier.
+     * Dump every live entry due at or before @p target into @p sink
+     * and advance the frontier to target + 1. @p live(entry) says
+     * whether a parked entry still refers to a pending event; a dead
+     * one is dropped at its first cascade or dump, never re-parked.
+     * Entries of the same tick arrive in unspecified order — the
+     * caller's heap restores the total (when, seq) order. No-op when
+     * target < frontier.
      */
-    template <typename Sink>
+    template <typename Live, typename Sink>
     void
-    advanceTo(std::int64_t target, Sink &&sink)
+    advanceTo(std::int64_t target, Live &&live, Sink &&sink)
     {
-        while (advanceOne(target, sink)) {
+        while (advanceOne(target, live, sink)) {
         }
     }
 
@@ -97,12 +109,12 @@ class TimingWheel
      * Process exactly one action tick (bucket flushes and/or an L0
      * dump) at or before @p target. Returns false — with the frontier
      * advanced past @p target — when nothing is due in range. Callers
-     * with an empty heap step with this so a run of stale (cancelled)
+     * with an empty heap step with this so a run of dead (cancelled)
      * entries cannot drain the whole wheel in one call.
      */
-    template <typename Sink>
+    template <typename Live, typename Sink>
     bool
-    advanceOne(std::int64_t target, Sink &&sink)
+    advanceOne(std::int64_t target, Live &&live, Sink &&sink)
     {
         if (frontier_ > target)
             return false;
@@ -115,7 +127,7 @@ class TimingWheel
             frontier_ = target + 1;
             return false;
         }
-        processAction(t, sink);
+        processAction(t, live, sink);
         return true;
     }
 
@@ -159,34 +171,41 @@ class TimingWheel
      * Act at tick @p t: cascade every level whose window starts here
      * (highest first, so entries ripple down in one pass), then dump
      * the L0 bucket — which holds exactly the tick-t entries — into
-     * the sink. Leaves frontier = t + 1.
+     * the sink. Dead entries are dropped on the way. Leaves
+     * frontier = t + 1.
      */
-    template <typename Sink>
+    template <typename Live, typename Sink>
     void
-    processAction(std::int64_t t, Sink &&sink)
+    processAction(std::int64_t t, Live &&live, Sink &&sink)
     {
         frontier_ = t;
         for (unsigned level = kLevels - 1; level >= 1; --level) {
             const std::int64_t span = std::int64_t(1)
                                       << (kSlotBits * level);
             if ((t & (span - 1)) == 0)
-                flushLevel(level, t, sink);
+                flushLevel(level, t, live, sink);
         }
         std::vector<WheelEntry> &due = buckets_[0][t & kSlotMask];
         if (!due.empty()) {
             occ_[0] &= ~(std::uint64_t(1) << (t & kSlotMask));
             count_ -= due.size();
-            for (const WheelEntry &e : due)
-                sink(e);
+            for (const WheelEntry &e : due) {
+                if (live(e))
+                    sink(e);
+            }
             due.clear();
         }
         frontier_ = t + 1;
     }
 
-    /** Cascade the bucket of @p level addressed by tick @p t. */
-    template <typename Sink>
+    /**
+     * Cascade the bucket of @p level addressed by tick @p t: each live
+     * entry lands one level down (or in the sink when due), each dead
+     * one is dropped here instead of rippling down to the L0 dump.
+     */
+    template <typename Live, typename Sink>
     void
-    flushLevel(unsigned level, std::int64_t t, Sink &&sink)
+    flushLevel(unsigned level, std::int64_t t, Live &&live, Sink &&sink)
     {
         const std::uint32_t s =
             static_cast<std::uint32_t>(t >> (kSlotBits * level)) & kSlotMask;
@@ -202,7 +221,7 @@ class TimingWheel
         occ_[level] &= ~(std::uint64_t(1) << s);
         count_ -= scratch_.size();
         for (const WheelEntry &e : scratch_) {
-            if (!insert(e))
+            if (live(e) && !insert(e))
                 sink(e);
         }
     }

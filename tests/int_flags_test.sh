@@ -5,7 +5,9 @@
 # is decimal digits inside the flag's range, so a sign, a suffix, an
 # overflow or an out-of-range number is refused before any work
 # starts; `--time-budget` must be a finite, non-negative number of
-# seconds. An unknown flag is refused the same way.
+# seconds. An unknown flag is refused the same way, and so is a
+# macro_campaign flag that belongs to another mode than the one
+# `--sharded` / `--open-loop` selects.
 #
 #   int_flags_test.sh MACRO_CAMPAIGN FUZZ_SCENARIOS
 set -u
@@ -44,6 +46,24 @@ unknown() {
        ! grep -q -e ": unknown flag $flag\$" "$dir/stderr"; then
         echo "$*: rc=$rc, stdout ${#out} bytes, $lines stderr lines" \
              "(want rc=2, empty stdout, one 'unknown flag $flag' line)"
+        sed 's/^/  stderr: /' "$dir/stderr"
+        status=1
+    fi
+}
+
+# misplaced FLAG BIN ARGS...: exit 2, empty stdout, one stderr line
+# saying FLAG does not apply to the selected mode (or needs one).
+misplaced() {
+    flag="$1"
+    shift
+    out="$("$@" 2>"$dir/stderr")"
+    rc=$?
+    lines="$(wc -l < "$dir/stderr")"
+    if [ "$rc" -ne 2 ] || [ -n "$out" ] || [ "$lines" -ne 1 ] ||
+       ! grep -q -e ": $flag \(does not apply to\|needs\) --" \
+            "$dir/stderr"; then
+        echo "$*: rc=$rc, stdout ${#out} bytes, $lines stderr lines" \
+             "(want rc=2, empty stdout, one '$flag does not apply' line)"
         sed 's/^/  stderr: /' "$dir/stderr"
         status=1
     fi
@@ -93,5 +113,26 @@ unknown --bogus "$macro" --bogus 1
 unknown --shards "$macro" --shards 4
 unknown --bogus "$fuzz" --bogus 1
 unknown --shards "$fuzz" --shards 4
+
+# A flag of another mode used to be ignored: --open-loop --hosts 7 ran
+# the 4M-request kernel duel and exited 0.
+misplaced --hosts "$macro" --open-loop --hosts 7
+misplaced --hosts "$macro" --open-loop --requests 1000 --hosts 7
+misplaced --threads "$macro" --open-loop --threads 4
+misplaced --threads "$macro" --open-loop --threads=4
+misplaced --legacy "$macro" --sharded --legacy
+misplaced --open-loop "$macro" --sharded --open-loop
+misplaced --sharded "$macro" --open-loop --sharded
+misplaced --prime-rounds "$macro" --prime-rounds 3
+misplaced --requests "$macro" --requests 1000
+misplaced --checkpoint "$macro" --checkpoint "$dir/never.snap"
+misplaced --forked-storms "$macro" --sharded --checkpoint "$dir/never.snap" \
+    --forked-storms 2
+misplaced --from-checkpoint "$macro" --sharded --straight-storms 2 \
+    --from-checkpoint "$dir/never.snap"
+if [ -e "$dir/never.snap" ]; then
+    echo "a refused --checkpoint run wrote its image"
+    status=1
+fi
 
 exit $status

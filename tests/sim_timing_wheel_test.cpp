@@ -34,6 +34,9 @@ spanTicks(unsigned level)
 /** The wheel's whole horizon (level 3's span, ~39 h) in ns. */
 constexpr std::int64_t kWheelSpanNs = spanTicks(TimingWheel::kLevels) * kTickNs;
 
+/** Liveness predicate of a wheel driven without an event slab. */
+constexpr auto kAllLive = [](const WheelEntry &) { return true; };
+
 /**
  * Both kernels share the slab/seq logic, so a lock-step driver gets
  * identical EventIds from both and can replay every operation 1:1.
@@ -50,10 +53,12 @@ struct QueuePair
     schedule(Duration d)
     {
         const int t = tag++;
-        const EventId a = wheel.scheduleAfter(d, [this, t] {
+        // Tagged, so the wheel queue can export an image at any point.
+        const EventTag et{1, static_cast<std::uint64_t>(t)};
+        const EventId a = wheel.scheduleAfter(d, et, [this, t] {
             wheel_trace.emplace_back(t, wheel.now().ns());
         });
-        const EventId b = heap.scheduleAfter(d, [this, t] {
+        const EventId b = heap.scheduleAfter(d, et, [this, t] {
             heap_trace.emplace_back(t, heap.now().ns());
         });
         EXPECT_EQ(a, b); // identical slab state => identical handles
@@ -244,7 +249,7 @@ TEST(TimingWheel, QuietGapSkipsAcrossFullLevelThreeCascade)
         popped.push_back(x);
     };
     int actions = 0;
-    while (w.advanceOne(due_tick, sink))
+    while (w.advanceOne(due_tick, kAllLive, sink))
         ++actions;
     ASSERT_EQ(popped.size(), 1u);
     EXPECT_EQ(popped[0].when, e.when);
@@ -258,7 +263,8 @@ TEST(TimingWheel, QuietGapSkipsAcrossFullLevelThreeCascade)
 
     // The now-empty wheel crosses the rest of the horizon in zero
     // actions: the quiet gap is skipped, not walked.
-    EXPECT_FALSE(w.advanceOne(due_tick + 4 * TimingWheel::kSlots, sink));
+    EXPECT_FALSE(
+        w.advanceOne(due_tick + 4 * TimingWheel::kSlots, kAllLive, sink));
     EXPECT_EQ(w.frontier(), due_tick + 4 * TimingWheel::kSlots + 1);
 }
 
@@ -301,14 +307,14 @@ TEST(TimingWheel, OwnSlotFlushesAtWindowStartAndNextLapMidWindow)
                 EXPECT_EQ(slot, w % TimingWheel::kSlots);
             });
             DumpLog log{&wheel, {}};
-            wheel.advanceTo(w * span - 1, log);
+            wheel.advanceTo(w * span - 1, kAllLive, log);
             EXPECT_TRUE(log.dumped.empty());
             EXPECT_EQ(wheel.frontier(), w * span);
             // The own-slot bucket acts right at the frontier.
-            ASSERT_TRUE(wheel.advanceOne(w * span, log));
+            ASSERT_TRUE(wheel.advanceOne(w * span, kAllLive, log));
             EXPECT_EQ(wheel.frontier(), w * span + 1);
             int actions = 1;
-            while (wheel.advanceOne(due, log))
+            while (wheel.advanceOne(due, kAllLive, log))
                 ++actions;
             ASSERT_EQ(log.dumped.size(), 1u);
             EXPECT_EQ(log.dumped[0].second, due);
@@ -332,9 +338,9 @@ TEST(TimingWheel, OwnSlotFlushesAtWindowStartAndNextLapMidWindow)
             });
             DumpLog log{&wheel, {}};
             // The first action is the next lap's window start.
-            ASSERT_TRUE(wheel.advanceOne(due, log));
+            ASSERT_TRUE(wheel.advanceOne(due, kAllLive, log));
             EXPECT_EQ(wheel.frontier(), lap + 1);
-            while (wheel.advanceOne(due, log)) {
+            while (wheel.advanceOne(due, kAllLive, log)) {
             }
             ASSERT_EQ(log.dumped.size(), 1u);
             EXPECT_EQ(log.dumped[0].second, due);
@@ -429,24 +435,111 @@ TEST(TimingWheel, StaleHandleAfterSlotReuseIsRefused)
     EXPECT_FALSE(eq.cancel(new_id)); // already fired
 }
 
+TEST(TimingWheel, DeadEntriesDropAtTheirFirstCascade)
+{
+    // Straight on the wheel: 64 entries parked in one level-2 bucket,
+    // every other one dead by the caller's predicate. The level-2
+    // flush at the window start must drop the dead half there — size()
+    // falls to the survivors before anything is due — and only
+    // survivors move down a level and reach the sink.
+    TimingWheel w;
+    const std::int64_t window = 18 * spanTicks(2);
+    for (std::uint32_t i = 0; i < 64; ++i) {
+        ASSERT_TRUE(w.insert(WheelEntry{
+            SimTime::fromNanos((window + 100 + 7 * i) * kTickNs), i, i, 1}));
+    }
+    w.forEach([](const WheelEntry &, std::uint8_t level, std::uint8_t) {
+        EXPECT_EQ(level, 2u);
+    });
+    int checks = 0;
+    const auto live = [&checks](const WheelEntry &e) {
+        ++checks;
+        return e.seq % 2 == 1;
+    };
+    std::vector<std::uint64_t> dumped;
+    const auto sink = [&dumped](const WheelEntry &e) {
+        dumped.push_back(e.seq);
+    };
+
+    ASSERT_TRUE(w.advanceOne(window, live, sink)); // the level-2 flush
+    EXPECT_EQ(w.frontier(), window + 1);
+    EXPECT_EQ(w.size(), 32u);
+    EXPECT_EQ(checks, 64);
+    EXPECT_TRUE(dumped.empty());
+    w.forEach([](const WheelEntry &e, std::uint8_t level, std::uint8_t) {
+        EXPECT_EQ(e.seq % 2, 1u);
+        EXPECT_EQ(level, 1u); // 100..541 ticks out: one level down
+    });
+
+    while (w.advanceOne(window + 1000, live, sink)) {
+    }
+    EXPECT_TRUE(w.empty());
+    std::vector<std::uint64_t> want;
+    for (std::uint64_t i = 1; i < 64; i += 2)
+        want.push_back(i);
+    std::sort(dumped.begin(), dumped.end());
+    EXPECT_EQ(dumped, want);
+    // A survivor is checked once per bucket it leaves (L2, L1, L0 dump);
+    // a dead entry only once.
+    EXPECT_EQ(checks, 64 + 32 + 32);
+}
+
 TEST(TimingWheel, CancelledParkedEntriesDieAtCascade)
 {
-    // A burst of parked-then-cancelled timers (the reap pattern) must
-    // not fire, not linger in pending(), and not disturb survivors.
-    EventQueue eq;
-    std::vector<EventId> doomed;
-    int fired = 0;
+    // The reap pattern at its real scale: timers parked ~10 min out
+    // (level 2), half of them cancelled, plus staged entries (due now,
+    // or beyond the wheel) with half of those cancelled too. An image
+    // taken right after the cancels carries only live wheel and
+    // staging entries; once the frontier crosses the timers' level-2
+    // window boundary the wheel holds exactly the survivors, one level
+    // down; and everything fires in the pure-heap kernel's order.
+    const std::int64_t window = 18 * spanTicks(2); // ~10.3 min
+    QueuePair q;
+    std::vector<EventId> ids;
     for (int i = 0; i < 200; ++i) {
-        doomed.push_back(eq.scheduleAfter(
-            Duration::millis(10 + i), [&] { ++fired; }));
-        eq.scheduleAfter(Duration::millis(10 + i), [&] { ++fired; });
+        ids.push_back(q.schedule(Duration::nanos(window * kTickNs)
+                                 + Duration::seconds(2)
+                                 + Duration::millis(50 * i)));
     }
-    for (const EventId id : doomed)
-        ASSERT_TRUE(eq.cancel(id));
-    EXPECT_EQ(eq.pending(), 200u);
-    eq.run();
-    EXPECT_EQ(fired, 200);
-    EXPECT_EQ(eq.cancelled(), 200u);
+    for (int i = 0; i < 16; ++i) {
+        ids.push_back(q.schedule(i % 4 < 2 ? Duration()
+                                           : Duration::nanos(kWheelSpanNs
+                                                             + i)));
+    }
+    for (std::size_t i = 0; i < ids.size(); i += 2)
+        q.cancel(ids[i]);
+
+    EventQueueImage img;
+    const auto live = [&img](std::uint32_t slot, std::uint32_t gen) {
+        return img.slots.at(slot).live != 0 && img.slots[slot].gen == gen;
+    };
+    ASSERT_TRUE(q.wheel.exportImage(img));
+    ASSERT_EQ(img.wheel.size(), 100u);
+    for (const EventQueueImage::WheelEntryImage &w : img.wheel) {
+        EXPECT_TRUE(live(w.slot, w.gen)) << "seq " << w.seq;
+        EXPECT_EQ(w.level, 2u);
+    }
+    ASSERT_EQ(img.staging.size(), 8u);
+    for (const EventQueueImage::EntryImage &e : img.staging)
+        EXPECT_TRUE(live(e.slot, e.gen)) << "seq " << e.seq;
+
+    q.advanceToTick(window);
+    ASSERT_TRUE(q.wheel.exportImage(img));
+    std::vector<std::uint64_t> parked;
+    for (const EventQueueImage::WheelEntryImage &w : img.wheel) {
+        EXPECT_TRUE(live(w.slot, w.gen)) << "seq " << w.seq;
+        EXPECT_EQ(w.level, 1u) << "seq " << w.seq;
+        parked.push_back(w.seq);
+    }
+    std::sort(parked.begin(), parked.end());
+    std::vector<std::uint64_t> survivors;
+    for (std::uint64_t i = 1; i < 200; i += 2)
+        survivors.push_back(i);
+    EXPECT_EQ(parked, survivors);
+
+    q.finish();
+    EXPECT_EQ(q.wheel_trace.size(), 100u + 8u);
+    EXPECT_EQ(q.wheel.cancelled(), 108u);
 }
 
 /** Field-by-field image equality, wheel placement included. */
@@ -585,6 +678,120 @@ TEST(TimingWheel, WheelImageRestoresIntoPureHeapQueue)
     original.run();
     heap_only.run();
     EXPECT_EQ(original_fired, restored_fired);
+}
+
+TEST(TimingWheel, OldImageWithDeadEntriesRunsLikeItsLiveOnlyTwin)
+{
+    // Earlier builds exported snapshot format v4 images with every
+    // parked and staged entry, cancelled ones included. Rebuild such an
+    // image from this build's live-only one by adding back each
+    // cancelled event's entry with its stale generation and its bucket,
+    // as taken before the cancels. Both images must restore, pop the
+    // same sequence as the original queue and end with the same
+    // counters; re-exporting the old one gives the live-only image.
+    using Trace = std::vector<std::pair<std::uint64_t, std::int64_t>>;
+    EventQueue original;
+    Trace original_trace;
+    original.runUntil(SimTime() + Duration::seconds(40));
+    std::vector<EventId> ids;
+    for (std::uint64_t i = 0; i < 120; ++i) {
+        Duration d;
+        const auto n = static_cast<std::int64_t>(i);
+        switch (i % 6) {
+        case 0: // due now
+            d = Duration();
+            break;
+        case 1: // level 0
+            d = Duration::millis(30 + n);
+            break;
+        case 2: // level 1
+            d = Duration::seconds(5 + n);
+            break;
+        case 3: // level 2
+            d = Duration::minutes(10) + Duration::seconds(n);
+            break;
+        case 4: // level 3
+            d = Duration::hours(3) + Duration::minutes(n);
+            break;
+        default: // beyond the wheel: staged
+            d = Duration::nanos(kWheelSpanNs) + Duration::minutes(n);
+        }
+        ids.push_back(original.scheduleAfter(
+            d, EventTag{1, i}, [&original, &original_trace, i] {
+                original_trace.emplace_back(i, original.now().ns());
+            }));
+    }
+    EventQueueImage before;
+    ASSERT_TRUE(original.exportImage(before));
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        if (i % 4 != 3) {
+            ASSERT_TRUE(original.cancel(ids[i]));
+        }
+    }
+    // Reuse freed slots: some dead entries now name a live slot of a
+    // later generation.
+    for (std::uint64_t i = 120; i < 140; ++i) {
+        original.scheduleAfter(
+            Duration::seconds(static_cast<std::int64_t>(i)), EventTag{1, i},
+            [&original, &original_trace, i] {
+                original_trace.emplace_back(i, original.now().ns());
+            });
+    }
+    EventQueueImage live_only;
+    ASSERT_TRUE(original.exportImage(live_only));
+
+    EventQueueImage old = live_only;
+    const auto dead = [&live_only](std::uint32_t slot, std::uint32_t gen) {
+        const EventQueueImage::SlotImage &s = live_only.slots.at(slot);
+        return s.live == 0 || s.gen != gen;
+    };
+    for (const EventQueueImage::WheelEntryImage &w : before.wheel) {
+        if (dead(w.slot, w.gen))
+            old.wheel.push_back(w);
+    }
+    for (const EventQueueImage::EntryImage &e : before.staging) {
+        if (dead(e.slot, e.gen))
+            old.staging.push_back(e);
+    }
+    ASSERT_GT(old.wheel.size(), live_only.wheel.size());
+    ASSERT_GT(old.staging.size(), live_only.staging.size());
+
+    const auto restore = [](const EventQueueImage &img, EventQueue &eq,
+                            Trace &trace) {
+        eq.importImage(img, [&eq, &trace](std::uint32_t kind,
+                                          std::uint64_t a) {
+            EXPECT_EQ(kind, 1u);
+            return EventQueue::Callback(
+                [&eq, &trace, a] { trace.emplace_back(a, eq.now().ns()); });
+        });
+    };
+    EventQueue from_live;
+    EventQueue from_old;
+    Trace live_trace;
+    Trace old_trace;
+    restore(live_only, from_live, live_trace);
+    restore(old, from_old, old_trace);
+    EXPECT_EQ(from_old.pending(), from_live.pending());
+    EventQueueImage reexported;
+    ASSERT_TRUE(from_old.exportImage(reexported));
+    expectImagesEqual(reexported, live_only);
+
+    // Uneven strides cross level-1/2/3 cascades before the final drain.
+    for (EventQueue *eq : {&original, &from_live, &from_old}) {
+        for (int i = 1; i <= 12; ++i)
+            eq->advance(Duration::minutes(7 * i) + Duration::millis(i));
+        eq->run();
+    }
+    EXPECT_EQ(live_trace, original_trace);
+    EXPECT_EQ(old_trace, original_trace);
+    EXPECT_EQ(original_trace.size(), 30u + 20u);
+    for (const EventQueue *eq : {&from_live, &from_old}) {
+        EXPECT_EQ(eq->processed(), original.processed());
+        EXPECT_EQ(eq->cancelled(), original.cancelled());
+        EXPECT_EQ(eq->scheduled(), original.scheduled());
+        EXPECT_EQ(eq->pending(), 0u);
+        EXPECT_EQ(eq->now(), original.now());
+    }
 }
 
 } // namespace

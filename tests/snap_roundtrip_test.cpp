@@ -310,6 +310,98 @@ TEST(SnapRoundTrip, CapturedImageIsThreadCountInvariant)
     EXPECT_EQ(serial.image, fanned.image);
 }
 
+TEST(SnapRoundTrip, KeepWarmChurnImageCarriesOnlyLiveTimers)
+{
+    // The fork workload's shape: connect/disconnect rounds with a
+    // RouteStorm between them keep instances warm, so most idle-reap
+    // timers are cancelled by the next request or relaunch long before
+    // they are due. Every lane's captured event queue must hold only
+    // live wheel entries, and a restore at another grouping must
+    // finish with the straight run's totals and log.
+    using Kind = faas::ShardOp::Kind;
+    const sim::SimTime horizon = sim::SimTime() + sim::Duration::minutes(15);
+    const auto build = [](faas::ShardedPlatform &platform) {
+        std::vector<faas::ShardOp> ops;
+        for (std::uint32_t lane = 0; lane < platform.laneCount(); ++lane) {
+            const faas::AccountId acct = platform.createAccount(lane, 1000);
+            const faas::ServiceId svc =
+                platform.deployService(acct, faas::ExecEnv::Gen1);
+            sim::SimTime t;
+            std::uint32_t step = 0;
+            const auto push = [&](Kind kind) -> faas::ShardOp & {
+                faas::ShardOp op;
+                op.kind = kind;
+                op.at = t;
+                op.step = step++;
+                op.service = svc;
+                op.account = acct;
+                ops.push_back(op);
+                return ops.back();
+            };
+            for (int round = 0; round < 4; ++round) {
+                push(Kind::Connect).a = 20;
+                t = t + sim::Duration::seconds(30);
+                faas::ShardOp &storm = push(Kind::RouteStorm);
+                storm.n = 300;
+                storm.dur = sim::Duration::fromSecondsF(0.05);
+                storm.dur_step = sim::Duration::fromSecondsF(0.01);
+                storm.dur_mod = 7;
+                storm.gap_every = 4;
+                storm.gap = sim::Duration::fromSecondsF(0.2);
+                storm.spend_every = 64;
+                t = t + sim::Duration::minutes(1);
+                push(Kind::Disconnect);
+                t = t + sim::Duration::minutes(1);
+            }
+        }
+        return ops;
+    };
+
+    faas::ShardedPlatform straight(campaignConfig(2));
+    straight.run(build(straight), horizon);
+
+    // Capture pre-fold at 9.5 min (window 19 of 30 s), in the fourth
+    // round's storm.
+    faas::ShardedPlatform platform(campaignConfig(2));
+    platform.beginRun(build(platform), horizon);
+    for (int w = 0; w < 18; ++w) {
+        platform.advanceWindow();
+        platform.completeWindow();
+    }
+    platform.advanceWindow();
+    const std::vector<std::uint8_t> image = Snapshotter::capture(platform);
+
+    SnapshotReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.parse(image, error)) << error;
+    std::uint64_t cancelled = 0;
+    std::size_t parked = 0;
+    for (std::uint32_t lane = 0; lane < platform.laneCount(); ++lane) {
+        SCOPED_TRACE(testing::Message() << "lane " << lane);
+        const SectionView *view = reader.section(kSectionLaneBase + lane);
+        ASSERT_NE(view, nullptr);
+        SectionReader in(view->data, view->size);
+        sim::EventQueueImage img;
+        ASSERT_TRUE(getEventQueueImage(in, img));
+        for (const sim::EventQueueImage::WheelEntryImage &w : img.wheel) {
+            ASSERT_LT(w.slot, img.slots.size());
+            EXPECT_TRUE(img.slots[w.slot].live != 0 &&
+                        img.slots[w.slot].gen == w.gen)
+                << "dead wheel entry seq " << w.seq;
+        }
+        cancelled += img.cancelled;
+        parked += img.wheel.size();
+    }
+    EXPECT_GT(cancelled, 0u);
+    EXPECT_GT(parked, 0u);
+
+    faas::ShardedPlatform restored(campaignConfig(5));
+    ASSERT_TRUE(Snapshotter::restore(reader, restored, error)) << error;
+    restored.resumeRun();
+    expectTotalsBitExact(restored.totals(), straight.totals());
+    EXPECT_EQ(restored.renderLog(), straight.renderLog());
+}
+
 TEST(SnapRoundTrip, RestoredRoutingKeepsActivationOrderAcrossIds)
 {
     // Connect 20, disconnect, connect 5: the reconnect wakes the most
